@@ -443,6 +443,9 @@ def main(argv=None) -> int:
     except (StressTuneError, ValueError, KeyError, OSError) as exc:
         print(f"stresstune: error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        print(f"stresstune: error: out of memory ({exc or 'MemoryError'})", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

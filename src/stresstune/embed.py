@@ -5,7 +5,8 @@ majorization, and least-squares trilateration against fixed landmarks.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.sparse import coo_matrix, csc_matrix
+from scipy.sparse.linalg import splu
 
 from .core import (
     PINV_RCOND,
@@ -81,6 +82,21 @@ def mds_d(g: DissimilarityGraph, p: int) -> Configuration:
     return classical_scaling(all_pairs_shortest_paths(g), p)
 
 
+def _grounded_laplacian(n: int, ei: np.ndarray, ej: np.ndarray) -> csc_matrix:
+    """Unit-weight graph Laplacian with node 0's row and column removed.
+
+    Nonsingular exactly when the graph is connected.
+    """
+    deg = np.bincount(ei, minlength=n) + np.bincount(ej, minlength=n)
+    off = (ei > 0) & (ej > 0)
+    a, b = ei[off] - 1, ej[off] - 1
+    diag = np.arange(n - 1)
+    rows = np.concatenate([a, b, diag])
+    cols = np.concatenate([b, a, diag])
+    vals = np.concatenate([np.full(2 * a.size, -1.0), deg[1:].astype(np.float64)])
+    return coo_matrix((vals, (rows, cols)), shape=(n - 1, n - 1)).tocsc()
+
+
 def _smacof(
     n: int,
     ei: np.ndarray,
@@ -94,44 +110,54 @@ def _smacof(
 
     Returns the final iterate and the stress value at every accepted iterate;
     the sequence is nonincreasing (a step that fails to decrease is dropped).
+    The graph must be connected. Each step solves with a sparse LU of the
+    Laplacian grounded at node 0 (Gansner, Koren & North, GD 2004), so memory
+    is O(n + edges + fill-in) rather than O(n^2); iterates after the first
+    are centred.
     """
 
-    def edge_dists(Y):
-        diff = Y[ei] - Y[ej]
-        return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    def edge_diffs(Y):
+        # np.take gathers the same rows as Y[ei] at a fraction of the cost.
+        diff = np.take(Y, ei, axis=0) - np.take(Y, ej, axis=0)
+        return diff, np.sqrt(np.einsum("ij,ij->i", diff, diff))
 
     Y = np.array(Y0, dtype=np.float64)
-    dist = edge_dists(Y)
+    diff, dist = edge_diffs(Y)
     stress = float(((dist - d) ** 2).sum())
     history = [stress]
     if stress == 0.0 or max_iter < 1 or ei.size == 0:
         return Y, history
 
-    # V is the unit-weight graph Laplacian; adding J/n shifts its null space
-    # so a Cholesky solve applies V^+ exactly to vectors orthogonal to 1.
-    L = np.zeros((n, n))
-    np.add.at(L, (ei, ei), 1.0)
-    np.add.at(L, (ej, ej), 1.0)
-    np.add.at(L, (ei, ej), -1.0)
-    np.add.at(L, (ej, ei), -1.0)
-    factor = cho_factor(L + 1.0 / n, lower=True)
-
+    # B(Y)Y sums to zero over nodes and the graph is connected, so L X = B(Y)Y
+    # is solvable; grounding fixes x_0 = 0 and re-centring then yields the
+    # minimum-norm solution L^+ B(Y)Y. The grounded Laplacian is symmetric
+    # positive definite, so elimination needs no pivoting.
+    lu = splu(
+        _grounded_laplacian(n, ei, ej),
+        permc_spec="MMD_AT_PLUS_A",
+        diag_pivot_thresh=0.0,
+        options={"SymmetricMode": True},
+    )
     p = Y.shape[1]
+    BY = np.empty((n, p))
+    ratio = np.empty_like(dist)
     for _ in range(max_iter):
-        safe = np.where(dist < _SMACOF_DIST_FLOOR, 1.0, dist)
-        ratio = np.where(dist < _SMACOF_DIST_FLOOR, 0.0, d / safe)
-        BY = np.empty_like(Y)
+        ratio.fill(0.0)
+        np.divide(d, dist, out=ratio, where=dist >= _SMACOF_DIST_FLOOR)
         for dim in range(p):
-            contrib = ratio * (Y[ei, dim] - Y[ej, dim])
+            contrib = ratio * diff[:, dim]
             BY[:, dim] = np.bincount(ei, weights=contrib, minlength=n) - np.bincount(
                 ej, weights=contrib, minlength=n
             )
-        Y_new = cho_solve(factor, BY)
-        dist_new = edge_dists(Y_new)
+        Y_new = np.empty((n, p))
+        Y_new[0] = 0.0
+        Y_new[1:] = lu.solve(BY[1:])
+        Y_new -= Y_new.sum(axis=0) / n
+        diff_new, dist_new = edge_diffs(Y_new)
         stress_new = float(((dist_new - d) ** 2).sum())
         if stress_new > stress:
             break
-        Y, dist = Y_new, dist_new
+        Y, diff, dist = Y_new, diff_new, dist_new
         decrease = stress - stress_new
         stress = stress_new
         history.append(stress)

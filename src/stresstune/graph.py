@@ -16,6 +16,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse import triu as sparse_triu
 from scipy.sparse.csgraph import connected_components as _csgraph_components
+from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 from scipy.sparse.csgraph import shortest_path as _csgraph_shortest_path
 from scipy.spatial import cKDTree
 
@@ -29,6 +30,10 @@ from .core import (
 # Zero-weight edges are kept traversable by bumping their stored weight to the
 # smallest subnormal; adding it to any practical path length is a no-op.
 _ZERO_WEIGHT_BUMP = 5e-324
+
+# Sources per truncated BFS in hop_balls; each block holds a block x n
+# distance array only while its ball rows are extracted.
+_HOP_BALL_BLOCK = 256
 
 
 class DissimilarityGraph:
@@ -266,6 +271,31 @@ def hop_neighborhood(g: DissimilarityGraph, v: int, h: int) -> HopNeighborhood:
 def hop_distances(g: DissimilarityGraph) -> np.ndarray:
     """All-pairs hop counts (float matrix, ``inf`` for unreachable pairs)."""
     return _csgraph_shortest_path(g.structure_csr(), method="D", directed=False, unweighted=True)
+
+
+def hop_balls(g: DissimilarityGraph, h: int) -> csr_matrix:
+    """Boolean CSR matrix whose row ``v`` marks the nodes within ``h`` hops of ``v``.
+
+    Row indices are sorted ascending. The balls come from ``h``-truncated
+    breadth-first searches over blocks of sources, so memory is
+    O(sum of ball sizes) plus one block of ``_HOP_BALL_BLOCK x n`` floats.
+    Balls are symmetric: ``u`` is in the ball of ``v`` iff ``v`` is in that of ``u``.
+    """
+    if h < 1:
+        raise ValueError("h must be >= 1")
+    n = g.n
+    adj = g.structure_csr()
+    counts = np.zeros(n, dtype=np.int64)
+    cols = []
+    for start in range(0, n, _HOP_BALL_BLOCK):
+        sources = np.arange(start, min(start + _HOP_BALL_BLOCK, n))
+        reach = _csgraph_dijkstra(adj, directed=False, unweighted=True, limit=h, indices=sources)
+        rows, c = np.nonzero(np.isfinite(reach))
+        counts[sources] = np.bincount(rows, minlength=sources.size)
+        cols.append(c.astype(np.int32))
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    indices = np.concatenate(cols)
+    return csr_matrix((np.ones(indices.size, dtype=bool), indices, indptr), shape=(n, n))
 
 
 def _floyd_warshall_dense(n: int, ei, ej, w) -> np.ndarray:

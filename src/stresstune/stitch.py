@@ -17,7 +17,6 @@ from .align import procrustes
 from .core import (
     PINV_RCOND,
     Configuration,
-    DenseSymmetricMatrix,
     DisconnectedGraphError,
     StressTuneError,
     affine_rank,
@@ -32,7 +31,7 @@ from .embed import (
 from .graph import (
     DissimilarityGraph,
     HopNeighborhood,
-    hop_distances,
+    hop_balls,
     hop_neighborhood,
     induced_subgraph_csr,
     is_connected,
@@ -53,18 +52,15 @@ class MergeError(StressTuneError):
 class Patch:
     """A locally embedded hop neighborhood.
 
-    ``local_D`` is the neighborhood's shortest-path-completed dissimilarity
-    submatrix and ``local_embedding`` its embedding, both indexed by
-    ``neighborhood.members`` (ascending node order).
+    ``local_embedding`` is indexed by ``neighborhood.members`` (ascending
+    node order).
     """
 
     neighborhood: HopNeighborhood
-    local_D: DenseSymmetricMatrix
     local_embedding: Configuration
 
     def __post_init__(self):
-        m = self.neighborhood.size
-        if self.local_D.order != m or self.local_embedding.n != m:
+        if self.local_embedding.n != self.neighborhood.size:
             raise ValueError("patch fields must agree with the neighborhood size")
 
     @property
@@ -130,8 +126,8 @@ def _embed_members(
     refine: bool,
     max_iter: int,
     tol: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Completed submatrix and local embedding for one membership set."""
+) -> np.ndarray:
+    """Local embedding of one membership set, from its shortest-path-completed submatrix."""
     m = members.size
     if m < p + 1:
         raise PatchError(f"patch at node {center} has {m} nodes; need at least {p + 1}")
@@ -143,7 +139,7 @@ def _embed_members(
     if refine:
         ei, ej, w = subgraph_edges(sub)
         Y, _ = _smacof(m, ei, ej, w, Y, max_iter, tol)
-    return local_D, Y
+    return Y
 
 
 def build_patch(
@@ -164,12 +160,8 @@ def build_patch(
     """
     nbhd = hop_neighborhood(g, v, h)
     members = np.array(nbhd.members, dtype=np.int64)
-    local_D, Y = _embed_members(g, members, v, p, refine, max_iter, tol)
-    return Patch(
-        neighborhood=nbhd,
-        local_D=DenseSymmetricMatrix(local_D),
-        local_embedding=Configuration(Y),
-    )
+    Y = _embed_members(g, members, v, p, refine, max_iter, tol)
+    return Patch(neighborhood=nbhd, local_embedding=Configuration(Y))
 
 
 def _check_overlap(gm: GlobalMap, members: np.ndarray, center: int, p: int) -> np.ndarray:
@@ -240,6 +232,11 @@ def mds_map_p(
     on memberships alone, so the result is identical to embedding every
     patch up front. ``final_refine`` runs stress majorization on the
     stitched configuration against all observed edges.
+
+    Memberships are kept as sparse hop balls (:func:`~stresstune.graph.hop_balls`)
+    and both refinements factor a sparse grounded Laplacian, so memory is
+    O(sum of ball sizes + edges) rather than O(n^2), plus the dense
+    completion of the one patch being embedded (O(m^2) for m members).
     """
     if h < 1:
         raise ValueError("h must be >= 1")
@@ -258,9 +255,8 @@ def mds_map_p(
             raise ValueError("centers must be node indices in [0, n)")
         eligible = np.zeros(n, dtype=bool)
         eligible[idx] = True
-    hops = hop_distances(g)
-    membership = hops <= h
-    sizes = membership.sum(axis=1)
+    balls = hop_balls(g, h)
+    sizes = np.diff(balls.indptr)
     too_small = np.flatnonzero(eligible & (sizes < p + 1))
     if too_small.size:
         listed = ", ".join(str(v) for v in too_small[:8])
@@ -269,19 +265,18 @@ def mds_map_p(
             f"(centers {listed}{', ...' if too_small.size > 8 else ''})"
         )
 
+    def ball(v: int) -> np.ndarray:
+        return balls.indices[balls.indptr[v] : balls.indptr[v + 1]].astype(np.int64)
+
     def embed_center(v: int) -> Patch:
-        members = np.flatnonzero(membership[v]).astype(np.int64)
-        local_D, Y = _embed_members(g, members, v, p, refine_patches, max_iter, tol)
-        nbhd = HopNeighborhood(center=v, h=h, members=tuple(int(u) for u in members))
-        return Patch(
-            neighborhood=nbhd,
-            local_D=DenseSymmetricMatrix(local_D),
-            local_embedding=Configuration(Y),
-        )
+        members = ball(v)
+        Y = _embed_members(g, members, v, p, refine_patches, max_iter, tol)
+        nbhd = HopNeighborhood(center=v, h=h, members=tuple(members.tolist()))
+        return Patch(neighborhood=nbhd, local_embedding=Configuration(Y))
 
     seed = int(np.argmax(np.where(eligible, sizes, -1)))
     seed_patch = embed_center(seed)
-    members = np.array(seed_patch.members, dtype=np.int64)
+    members = ball(seed)
     coords = np.full((n, p), np.nan)
     placed = np.zeros(n, dtype=bool)
     coords[members] = seed_patch.local_embedding.points
@@ -290,7 +285,9 @@ def mds_map_p(
 
     processed = np.zeros(n, dtype=bool)
     processed[seed] = True
-    counts = membership[:, placed].sum(axis=1).astype(np.int64)
+    # counts[u] = placed members of u's ball. Balls are symmetric, so placing
+    # w raises the count of exactly the nodes in w's ball.
+    counts = np.bincount(balls[members].indices, minlength=n)
     while not gm.placed.all():
         cand = np.where(processed | ~eligible, -1, counts)
         v = int(np.argmax(cand))
@@ -302,10 +299,10 @@ def mds_map_p(
                 f"(e.g. {listed}); increase h"
             )
         was_placed = gm.placed
-        if bool(gm.placed[membership[v]].all()):
+        mem = ball(v)
+        if bool(gm.placed[mem].all()):
             # No new nodes: first-placement-wins makes the transform moot,
             # so only the overlap validity check runs.
-            mem = np.flatnonzero(membership[v]).astype(np.int64)
             _check_overlap(gm, mem, v, p)
             gm = GlobalMap(
                 coords=gm.coords,
@@ -317,7 +314,7 @@ def mds_map_p(
         processed[v] = True
         newly = np.flatnonzero(gm.placed & ~was_placed)
         if newly.size:
-            counts += membership[:, newly].sum(axis=1)
+            counts += np.bincount(balls[newly].indices, minlength=n)
 
     result = gm.as_configuration()
     if final_refine:

@@ -12,6 +12,7 @@ import heapq
 import math
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 
 
 def sq_dist_double_loop(points: np.ndarray) -> np.ndarray:
@@ -143,3 +144,51 @@ def law_of_cosines_km(lat1, lon1, lat2, lon2, radius_km: float) -> float:
 
 def polyline_arc_length(points: np.ndarray) -> float:
     return float(np.linalg.norm(np.diff(points, axis=0), axis=1).sum())
+
+
+def smacof_dense_cholesky(n: int, ei, ej, d, Y0: np.ndarray, max_iter: int, tol: float):
+    """Guttman majorization with a dense Cholesky factor of ``L + J/n``.
+
+    The reference for the package's sparse grounded-Laplacian SMACOF: same
+    update, same 1e-12 distance floor, same stopping rule. Returns the final
+    iterate and the stress at every accepted iterate.
+    """
+    def edge_dists(Y):
+        diff = Y[ei] - Y[ej]
+        return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+
+    Y = np.array(Y0, dtype=np.float64)
+    dist = edge_dists(Y)
+    stress = float(((dist - d) ** 2).sum())
+    history = [stress]
+    if stress == 0.0 or max_iter < 1 or len(ei) == 0:
+        return Y, history
+    # Adding J/n shifts the Laplacian's null space, so the Cholesky solve
+    # applies L^+ exactly to vectors orthogonal to 1.
+    L = np.zeros((n, n))
+    np.add.at(L, (ei, ei), 1.0)
+    np.add.at(L, (ej, ej), 1.0)
+    np.add.at(L, (ei, ej), -1.0)
+    np.add.at(L, (ej, ei), -1.0)
+    factor = cho_factor(L + 1.0 / n, lower=True)
+    for _ in range(max_iter):
+        safe = np.where(dist < 1e-12, 1.0, dist)
+        ratio = np.where(dist < 1e-12, 0.0, d / safe)
+        BY = np.empty_like(Y)
+        for dim in range(Y.shape[1]):
+            contrib = ratio * (Y[ei, dim] - Y[ej, dim])
+            BY[:, dim] = np.bincount(ei, weights=contrib, minlength=n) - np.bincount(
+                ej, weights=contrib, minlength=n
+            )
+        Y_new = cho_solve(factor, BY)
+        dist_new = edge_dists(Y_new)
+        stress_new = float(((dist_new - d) ** 2).sum())
+        if stress_new > stress:
+            break
+        Y, dist = Y_new, dist_new
+        decrease = stress - stress_new
+        stress = stress_new
+        history.append(stress)
+        if stress == 0.0 or decrease < tol * (stress + decrease):
+            break
+    return Y, history

@@ -17,6 +17,7 @@ import hashlib
 import time
 
 import numpy as np
+import pytest
 from scipy.optimize import minimize
 
 from oracles import law_of_cosines_km
@@ -49,6 +50,8 @@ from stresstune import (
 )
 from stresstune.cli import main as cli_main
 from stresstune.data import DomainShape
+
+pytestmark = pytest.mark.gate
 
 
 def _complete_graph(points: np.ndarray) -> DissimilarityGraph:

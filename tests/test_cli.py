@@ -171,6 +171,21 @@ class TestEmbedAndAlign:
                  "--out", tmp_path / "x"])
         assert exc.value.code == 2
 
+    def test_out_of_memory_exits_1(self, tmp_path, rng, monkeypatch, capsys):
+        from stresstune import cli
+
+        def exhausted(args, parser):
+            raise MemoryError("Unable to allocate 3.26 GiB for an array")
+
+        self.make_instance(tmp_path, rng)
+        monkeypatch.setitem(cli._COMMANDS, "embed", exhausted)
+        code = run(["embed", "--method", "mdsd", "--graph", tmp_path / "graph.csv",
+                    "--out", tmp_path / "x"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("stresstune: error: out of memory (")
+        assert "3.26 GiB" in err
+
     def test_align_of_rigid_copy(self, tmp_path, rng):
         from stresstune import Configuration, write_configuration_csv
         from conftest import rotation

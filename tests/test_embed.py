@@ -22,6 +22,7 @@ from stresstune import (
     trilaterate,
 )
 from conftest import rotation
+from stresstune.embed import _smacof
 
 
 def complete_graph(points: np.ndarray) -> DissimilarityGraph:
@@ -195,6 +196,59 @@ class TestSmacofRefine:
         g = DissimilarityGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
         with pytest.raises(ValueError):
             smacof_refine(g, Configuration(rng.uniform(size=(2, 2))))
+
+
+def random_connected_edges(r, n):
+    """Random spanning tree plus extra chords; edge weights near unit scale."""
+    pairs = {(int(r.integers(0, v)), v) for v in range(1, n)}
+    for _ in range(n):
+        i, j = sorted(int(x) for x in r.choice(n, size=2, replace=False))
+        pairs.add((i, j))
+    pairs = sorted(pairs)
+    ei = np.array([a for a, _ in pairs], dtype=np.int64)
+    ej = np.array([b for _, b in pairs], dtype=np.int64)
+    return ei, ej, r.uniform(0.5, 2.0, size=ei.size)
+
+
+class TestSparseSmacofAgainstDenseOracle:
+    def test_matches_dense_cholesky(self):
+        for seed in range(30):
+            r = np.random.default_rng(seed)
+            n = int(r.integers(8, 40))
+            ei, ej, d = random_connected_edges(r, n)
+            d[0] = 0.0  # a zero-weight edge
+            y0 = r.standard_normal((n, 2))
+            y0[ej[1]] = y0[ei[1]]  # coincident endpoints: the distance-floor branch
+            got, hist = _smacof(n, ei, ej, d, y0, 300, 1e-6)
+            want, want_hist = oracles.smacof_dense_cholesky(n, ei, ej, d, y0, 300, 1e-6)
+            assert len(hist) == len(want_hist) > 1
+            np.testing.assert_allclose(hist, want_hist, rtol=1e-9, atol=1e-12 * hist[0])
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(got.mean(axis=0), 0.0, atol=1e-12)
+
+    def test_tiny_graphs_agree_at_the_fixed_point(self):
+        # Three or four nodes are often realizable, so stress runs down toward
+        # zero and the stopping tests (stress_new > stress, the relative
+        # decrease) compare numbers at rounding level; the step counts may then
+        # differ, so only the final iterates are compared.
+        for seed in range(40):
+            r = np.random.default_rng(seed)
+            n = int(r.integers(3, 5))
+            ei, ej, d = random_connected_edges(r, n)
+            y0 = r.standard_normal((n, 2))
+            got, hist = _smacof(n, ei, ej, d, y0, 300, 1e-6)
+            want, want_hist = oracles.smacof_dense_cholesky(n, ei, ej, d, y0, 300, 1e-6)
+            assert hist[-1] == pytest.approx(want_hist[-1], rel=1e-6, abs=1e-12 * hist[0])
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+
+    def test_all_points_coincident(self):
+        # Every distance is under the floor: the first step maps to the origin.
+        ei, ej, d = random_connected_edges(np.random.default_rng(1), 6)
+        y0 = np.ones((6, 2))
+        got, hist = _smacof(6, ei, ej, d, y0, 5, 1e-6)
+        want, want_hist = oracles.smacof_dense_cholesky(6, ei, ej, d, y0, 5, 1e-6)
+        assert len(hist) == len(want_hist)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 class TestTrilaterate:

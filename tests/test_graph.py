@@ -1,13 +1,19 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 import oracles
+import stresstune.graph as graph_module
 from stresstune import (
     Configuration,
     DenseSymmetricMatrix,
     DissimilarityGraph,
     all_pairs_shortest_paths,
     connected_components,
+    hop_balls,
     hop_neighborhood,
     is_connected,
     knn_graph,
@@ -186,6 +192,55 @@ class TestHopNeighborhood:
         triples = edge_triples(g)
         for v in range(25):
             np.testing.assert_array_equal(H[v], oracles.bfs_hops(25, triples, v))
+
+
+@hst.composite
+def small_graphs(draw):
+    """Graphs of up to 30 nodes, often disconnected, often with trailing isolated nodes."""
+    n = draw(hst.integers(1, 30))
+    pairs = draw(
+        hst.sets(
+            hst.tuples(hst.integers(0, n - 1), hst.integers(0, n - 1))
+            .filter(lambda t: t[0] != t[1])
+            .map(lambda t: (min(t), max(t))),
+            max_size=2 * n,
+        )
+    )
+    edges = sorted(pairs)
+    ei = np.array([a for a, _ in edges], dtype=np.int64)
+    ej = np.array([b for _, b in edges], dtype=np.int64)
+    return DissimilarityGraph(n, (ei, ej, np.ones(len(edges))))
+
+
+class TestHopBalls:
+    @settings(max_examples=150, deadline=None)
+    @given(g=small_graphs(), h=hst.integers(1, 32), block=hst.integers(1, 8))
+    def test_matches_thresholded_hop_distances(self, g, h, block):
+        # h up to 32 >= n - 1 covers h at or beyond every diameter; blocks of
+        # 1-8 sources make most graphs span several blocks, the last partial.
+        with mock.patch.object(graph_module, "_HOP_BALL_BLOCK", block):
+            balls = hop_balls(g, h)
+        assert balls.shape == (g.n, g.n)
+        assert balls.has_sorted_indices
+        np.testing.assert_array_equal(balls.toarray(), hop_distances(g) <= h)
+
+    def test_default_block_size_partial_last_block(self, rng):
+        n = 2 * graph_module._HOP_BALL_BLOCK + 37
+        g = random_graph(rng, n, avg_degree=3.0)
+        H = hop_distances(g)
+        for h in (1, 3):
+            np.testing.assert_array_equal(hop_balls(g, h).toarray(), H <= h)
+
+    def test_trailing_isolated_nodes_are_their_own_balls(self):
+        g = DissimilarityGraph(5, [(0, 1, 1.0), (1, 2, 1.0)])
+        balls = hop_balls(g, 2)
+        assert balls[3].indices.tolist() == [3]
+        assert balls[4].indices.tolist() == [4]
+        assert balls[0].indices.tolist() == [0, 1, 2]
+
+    def test_h_must_be_positive(self):
+        with pytest.raises(ValueError):
+            hop_balls(DissimilarityGraph(2, [(0, 1, 1.0)]), 0)
 
 
 class TestAllPairsShortestPaths:

@@ -23,6 +23,7 @@ from stresstune import (
     stress,
 )
 from stresstune.data import DomainShape
+from stresstune.graph import induced_subgraph_csr, shortest_paths_csr
 from stresstune.tune import stress as raw_stress
 
 
@@ -93,7 +94,8 @@ class TestBuildPatch:
         # contains a spanning tree of paths back to the center.
         g = DissimilarityGraph(5, [(0, 1, 1.0), (0, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0)])
         patch = build_patch(g, 0, h=2, p=1, refine=False)
-        assert np.isfinite(patch.local_D.values).all()
+        members = np.array(patch.members)
+        assert np.isfinite(shortest_paths_csr(induced_subgraph_csr(g, members))).all()
 
 
 class TestMerge:
@@ -123,7 +125,6 @@ class TestMerge:
         nbhd_patch = build_patch(complete_graph(full), 0, h=1, p=2, refine=False)
         patch = type(nbhd_patch)(
             neighborhood=nbhd_patch.neighborhood,
-            local_D=nbhd_patch.local_D,
             local_embedding=Configuration(patch_pts),
         )
         merged = merge(gm, patch)
@@ -192,6 +193,25 @@ class TestMdsMapP:
         _, gm1 = mds_map_p(g, 2, 2, return_global_map=True)
         _, gm2 = mds_map_p(g, 2, 2, return_global_map=True)
         assert gm1.merge_log == gm2.merge_log
+
+    def test_merge_log_pinned(self):
+        # The merge log is combinatorial (hop balls and overlap counts only),
+        # so these logs are independent of the BLAS build.
+        cfg = generate_shape(DomainShape.named("hollow_rectangle"), 40, seed=21)
+        g = apply_multiplicative_noise(knn_graph(cfg, 6), 0.1, seed=22)
+        want = {
+            1: ((29, 0), (24, 7), (23, 7), (19, 7), (20, 7), (28, 7), (33, 7), (34, 6),
+                (30, 6), (31, 8), (25, 8), (35, 8), (26, 7), (27, 8), (32, 8), (36, 7),
+                (37, 7), (15, 5), (16, 6), (11, 5), (6, 7), (0, 7), (1, 7), (2, 7),
+                (7, 8), (12, 8), (5, 7), (8, 7), (13, 8)),
+            2: ((12, 0), (7, 18), (13, 18), (2, 17), (8, 17), (11, 17), (16, 17), (1, 16),
+                (6, 16), (15, 16), (17, 16), (25, 17)),
+            3: ((16, 0), (20, 31)),
+        }
+        assert g.n == 38
+        for h, log in want.items():
+            _, gm = mds_map_p(g, h, 2, return_global_map=True)
+            assert gm.merge_log == log
 
     def test_permutation_equivariance(self, rng):
         pts = rng.uniform(size=(40, 2))
