@@ -81,17 +81,18 @@ def _write_meta(outdir: Path, meta: dict) -> None:
     _atomic_write(outdir / "meta.json", json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
-def _workers(parser: argparse.ArgumentParser) -> int:
+def _workers(parser: argparse.ArgumentParser) -> int | None:
+    """Sweep worker processes from the environment; ``None`` (unset, empty or 0) is auto."""
     raw = os.environ.get(THREADS_ENV, "").strip()
     if not raw:
-        return 1
+        return None
     try:
         value = int(raw)
     except ValueError:
         parser.error(f"{THREADS_ENV} must be a nonnegative integer, got {raw!r}")
     if value < 0:
         parser.error(f"{THREADS_ENV} must be a nonnegative integer, got {raw!r}")
-    return value if value > 0 else (os.cpu_count() or 1)
+    return value or None
 
 
 def _outdir(args) -> Path:

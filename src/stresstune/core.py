@@ -1,8 +1,9 @@
 """Shared numeric primitives and the value types used across the package.
 
 Every operation here is a pure function of immutable inputs. Arrays stored on
-the value types are defensively copied and marked read-only, so instances are
-safe to share between threads.
+the value types are defensively copied and marked read-only. The value types
+pickle through their constructors, so an instance that comes back from a
+worker process is validated and read-only again.
 """
 
 from __future__ import annotations
@@ -62,6 +63,9 @@ class Configuration:
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 
+    def __reduce__(self):
+        return (Configuration, (self.points,))
+
     @property
     def n(self) -> int:
         return self.points.shape[0]
@@ -102,6 +106,9 @@ class DenseSymmetricMatrix:
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
+    def __reduce__(self):
+        return (DenseSymmetricMatrix, (self.values, self.allow_infinite))
+
     @property
     def order(self) -> int:
         return self.values.shape[0]
@@ -136,6 +143,9 @@ class RigidMap:
             raise ValueError("Q reflects but reflections were not permitted")
         object.__setattr__(self, "Q", Q)
         object.__setattr__(self, "t", t)
+
+    def __reduce__(self):
+        return (RigidMap, (self.Q, self.t, self.allow_reflection))
 
     @property
     def p(self) -> int:

@@ -274,6 +274,9 @@ class CityTable:
         object.__setattr__(self, "lat", lat)
         object.__setattr__(self, "lon", lon)
 
+    def __reduce__(self):
+        return (CityTable, (self.names, self.lat, self.lon))
+
     @property
     def n(self) -> int:
         return len(self.names)

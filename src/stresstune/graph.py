@@ -85,6 +85,11 @@ class DissimilarityGraph:
         self._structure = None
         self._bumped = None
 
+    def __reduce__(self):
+        # Through the constructor: the edge arrays come back read-only and the
+        # lazily built CSR copies are not shipped.
+        return (DissimilarityGraph, (self._n, (self.ei, self.ej, self.weights)))
+
     @property
     def n(self) -> int:
         return self._n
@@ -162,6 +167,22 @@ class HopNeighborhood:
         return len(self.members)
 
 
+def _union_knn_pairs(nearest: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted unique pairs ``i < j`` of the union-symmetrized k-NN relation.
+
+    Row ``i`` of ``nearest`` lists candidate neighbours of ``i`` by rank; the
+    first ``k`` entries other than ``i`` itself are kept.
+    """
+    n = nearest.shape[0]
+    rows = np.arange(n)[:, None]
+    other = nearest != rows
+    keep = other & (np.cumsum(other, axis=1) <= k)
+    i = np.broadcast_to(rows, nearest.shape)[keep]
+    j = nearest[keep]
+    key = np.unique(np.minimum(i, j) * n + np.maximum(i, j))
+    return key // n, key % n
+
+
 def knn_graph(config: Configuration, k: int) -> DissimilarityGraph:
     """Symmetrized k-nearest-neighbor graph with Euclidean edge weights.
 
@@ -176,16 +197,9 @@ def knn_graph(config: Configuration, k: int) -> DissimilarityGraph:
     X = config.points
     tree = cKDTree(X)
     _, idx = tree.query(X, k=k + 1)
-    idx = np.atleast_2d(idx)
-    pairs = set()
-    for i in range(n):
-        row = [int(j) for j in idx[i] if int(j) != i][:k]
-        for j in row:
-            pairs.add((i, j) if i < j else (j, i))
-    if not pairs:
+    ei, ej = _union_knn_pairs(np.atleast_2d(idx).astype(np.int64), k)
+    if not ei.size:
         raise StressTuneError("k-NN construction produced no edges")
-    ei = np.array([a for a, _ in sorted(pairs)], dtype=np.int64)
-    ej = np.array([b for _, b in sorted(pairs)], dtype=np.int64)
     w = np.linalg.norm(X[ei] - X[ej], axis=1)
     return DissimilarityGraph(n, (ei, ej, w))
 
@@ -198,14 +212,9 @@ def knn_graph_from_matrix(matrix: DenseSymmetricMatrix, k: int) -> Dissimilarity
     if n <= k:
         raise ValueError(f"need n > k, got n={n}, k={k}")
     D = matrix.values
-    pairs = set()
-    for i in range(n):
-        order = np.argsort(D[i], kind="stable")
-        row = [int(j) for j in order if int(j) != i][:k]
-        for j in row:
-            pairs.add((i, j) if i < j else (j, i))
-    ei = np.array([a for a, _ in sorted(pairs)], dtype=np.int64)
-    ej = np.array([b for _, b in sorted(pairs)], dtype=np.int64)
+    # The first k entries of a row other than its own node lie in its first k + 1.
+    order = np.argsort(D, axis=1, kind="stable")[:, : k + 1]
+    ei, ej = _union_knn_pairs(order, k)
     w = D[ei, ej]
     return DissimilarityGraph(n, (ei, ej, w))
 

@@ -97,6 +97,9 @@ class GlobalMap:
         object.__setattr__(self, "placed", placed)
         object.__setattr__(self, "merge_log", tuple(self.merge_log))
 
+    def __reduce__(self):
+        return (GlobalMap, (self.coords, self.placed, self.merge_log))
+
     @classmethod
     def empty(cls, n: int, p: int) -> "GlobalMap":
         return cls(coords=np.full((n, p), np.nan), placed=np.zeros(n, dtype=bool))

@@ -100,6 +100,34 @@ def knn_union_edges(points: np.ndarray, k: int) -> set[tuple[int, int]]:
     return edges
 
 
+def _union_pairs_loop(ranked, k: int) -> tuple[np.ndarray, np.ndarray]:
+    pairs = set()
+    for i, candidates in enumerate(ranked):
+        row = [int(j) for j in candidates if int(j) != i][:k]
+        for j in row:
+            pairs.add((i, j) if i < j else (j, i))
+    ei = np.array([a for a, _ in sorted(pairs)], dtype=np.int64)
+    ej = np.array([b for _, b in sorted(pairs)], dtype=np.int64)
+    return ei, ej
+
+
+def knn_pairs_loop(points: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Union k-NN pairs from a k-d tree query, built with a Python set.
+
+    The loop ``knn_graph`` used before it was vectorised; ties keep the
+    tree's order, so this must match it exactly, duplicates included.
+    """
+    from scipy.spatial import cKDTree
+
+    _, idx = cKDTree(points).query(points, k=k + 1)
+    return _union_pairs_loop(np.atleast_2d(idx), k)
+
+
+def knn_matrix_pairs_loop(D: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Union k-NN pairs from per-row stable sorts of a dissimilarity matrix."""
+    return _union_pairs_loop((np.argsort(row, kind="stable") for row in D), k)
+
+
 def stress_double_loop(points: np.ndarray, edges) -> float:
     total = 0.0
     for i, j, w in edges:

@@ -86,9 +86,11 @@ class TestSweep:
         assert (out / "embedding_h1.csv").exists()
         assert (out / "sweep.csv").exists()
 
-    def test_rerun_byte_identical(self, complete_instance):
+    def test_rerun_byte_identical(self, complete_instance, monkeypatch):
+        # The second run sweeps in two worker processes.
         outs = []
-        for name in ("r1", "r2"):
+        for name, workers in (("r1", "1"), ("r2", "2")):
+            monkeypatch.setenv("STRESS_TUNE_THREADS", workers)
             out = complete_instance / name
             run(["sweep", "--graph", complete_instance / "graph.csv",
                  "--hops", "1,2", "--out", out])
@@ -109,17 +111,34 @@ class TestSweep:
         assert exc.value.code == 2
 
     def test_threads_env_must_be_integer(self, complete_instance, monkeypatch):
-        monkeypatch.setenv("STRESS_TUNE_THREADS", "many")
-        with pytest.raises(SystemExit) as exc:
-            run(["sweep", "--graph", complete_instance / "graph.csv",
-                 "--hops", "1", "--out", complete_instance / "o"])
-        assert exc.value.code == 2
+        for bad in ("many", "-1", "1.5"):
+            monkeypatch.setenv("STRESS_TUNE_THREADS", bad)
+            with pytest.raises(SystemExit) as exc:
+                run(["sweep", "--graph", complete_instance / "graph.csv",
+                     "--hops", "1", "--out", complete_instance / "o"])
+            assert exc.value.code == 2
 
     def test_threads_env_zero_means_auto(self, complete_instance, monkeypatch):
-        monkeypatch.setenv("STRESS_TUNE_THREADS", "0")
-        assert run(["sweep", "--graph", complete_instance / "graph.csv",
-                    "--hops", "1,2", "--out", complete_instance / "auto"]) == 0
+        # Unset, empty and 0 mean auto, the library default; a positive value
+        # sets the number of worker processes.
+        import stresstune.cli as cli_module
 
+        seen = []
+        real = cli_module.sweep_hops
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs["workers"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli_module, "sweep_hops", spy)
+        for value in (None, "", "0", "3"):
+            if value is None:
+                monkeypatch.delenv("STRESS_TUNE_THREADS", raising=False)
+            else:
+                monkeypatch.setenv("STRESS_TUNE_THREADS", value)
+            assert run(["sweep", "--graph", complete_instance / "graph.csv",
+                        "--hops", "1,2", "--out", complete_instance / "auto"]) == 0
+        assert seen == [None, None, None, 3]
 
 class TestEmbedAndAlign:
     def make_instance(self, tmp_path, rng, n=10):

@@ -1,10 +1,15 @@
+import pickle
+
 import numpy as np
 import pytest
 
 import oracles
 from stresstune import (
+    CityTable,
     Configuration,
     DenseSymmetricMatrix,
+    DissimilarityGraph,
+    GlobalMap,
     RigidMap,
     affine_rank,
     double_center,
@@ -31,6 +36,28 @@ class TestConfiguration:
             Configuration(np.zeros(3))
         with pytest.raises(ValueError):
             Configuration([[np.nan, 0.0]])
+
+
+class TestPickling:
+    def test_value_types_come_back_validated_and_read_only(self):
+        g = DissimilarityGraph(3, [(1, 0, 1.0), (1, 2, 2.0)])
+        g.structure_csr()
+        cases = [
+            (Configuration(np.ones((3, 2))), ["points"]),
+            (DenseSymmetricMatrix(np.eye(3)), ["values"]),
+            (RigidMap(np.eye(2), np.ones(2)), ["Q", "t"]),
+            (g, ["ei", "ej", "weights"]),
+            (GlobalMap(np.ones((3, 2)), np.ones(3, dtype=bool), ((0, 0),)), ["coords", "placed"]),
+            (CityTable(("a", "b"), np.zeros(2), np.ones(2)), ["lat", "lon"]),
+        ]
+        for value, arrays in cases:
+            copy = pickle.loads(pickle.dumps(value))
+            assert type(copy) is type(value)
+            for name in arrays:
+                assert np.array_equal(getattr(copy, name), getattr(value, name))
+                assert not getattr(copy, name).flags.writeable
+        # The graph's lazily built CSR copies stay behind.
+        assert pickle.loads(pickle.dumps(g))._structure is None
 
 
 class TestDenseSymmetricMatrix:

@@ -116,6 +116,36 @@ class TestKnnGraphFromMatrix:
         assert [(i, j) for i, j, _ in edge_triples(g1)] == [(i, j) for i, j, _ in edge_triples(g2)]
 
 
+@hst.composite
+def tied_point_sets(draw):
+    """Points on a 4x4 integer grid, so distances tie and points coincide."""
+    k = draw(hst.integers(1, 6))
+    n = draw(hst.integers(k + 1, 30))
+    cells = draw(hst.lists(hst.tuples(hst.integers(0, 3), hst.integers(0, 3)), min_size=n, max_size=n))
+    return np.array(cells, dtype=np.float64), k
+
+
+class TestKnnAgainstLoopOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(case=tied_point_sets())
+    def test_point_builder_matches_set_loop(self, case):
+        pts, k = case
+        g = knn_graph(Configuration(pts), k)
+        ei, ej = oracles.knn_pairs_loop(pts, k)
+        assert np.array_equal(g.ei, ei) and np.array_equal(g.ej, ej)
+        assert np.array_equal(g.weights, np.linalg.norm(pts[ei] - pts[ej], axis=1))
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=tied_point_sets())
+    def test_matrix_builder_matches_set_loop(self, case):
+        pts, k = case
+        D = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
+        g = knn_graph_from_matrix(DenseSymmetricMatrix(D), k)
+        ei, ej = oracles.knn_matrix_pairs_loop(D, k)
+        assert np.array_equal(g.ei, ei) and np.array_equal(g.ej, ej)
+        assert np.array_equal(g.weights, D[ei, ej])
+
+
 class TestRadiusGraph:
     def test_below_min_distance_empty(self):
         g = radius_graph(line_config(0, 1, 2), 0.5)

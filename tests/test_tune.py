@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oracles
+import stresstune
 from conftest import rotation
 from stresstune import (
     Configuration,
@@ -226,14 +231,82 @@ class TestSweepHops:
         report = sweep_hops(g, 2, [2, 1, 2])
         assert [r.h for r in report.rows] == [1, 2]
 
-    def test_parallel_workers_match_serial(self, rng):
-        pts = rng.uniform(size=(50, 2))
+    def test_parallel_workers_match_serial(self, rng, monkeypatch):
         from stresstune import apply_multiplicative_noise, knn_graph
 
-        g = apply_multiplicative_noise(knn_graph(Configuration(pts), 6), 0.1, seed=2)
-        serial = sweep_hops(g, 2, [1, 2, 3], truth=Configuration(pts))
-        parallel = sweep_hops(g, 2, [1, 2, 3], truth=Configuration(pts), workers=3)
-        assert serial.to_json() == parallel.to_json()
+        pts = rng.uniform(size=(50, 2))
+        knn = apply_multiplicative_noise(knn_graph(Configuration(pts), 6), 0.1, seed=2)
+        path_pts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.1], [3.0, 0.0]])
+        path = DissimilarityGraph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
+        cases = [
+            (knn, pts, [1, 2, 3], 3),
+            (knn, pts, [1, 2, 3], 8),  # more workers than hop values
+            (path, path_pts, [1, 3], 2),  # h=1 fails inside a worker
+        ]
+        # The parent's environment comes back as it was, set and unset variables alike.
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        environ = dict(os.environ)
+        for g, truth, hs, workers in cases:
+            serial_emb, parallel_emb = {}, {}
+            serial = sweep_hops(g, 2, hs, truth=Configuration(truth), workers=1,
+                                embeddings=serial_emb)
+            parallel = sweep_hops(g, 2, hs, truth=Configuration(truth), workers=workers,
+                                  embeddings=parallel_emb)
+            assert dict(os.environ) == environ
+            assert serial.to_json() == parallel.to_json()
+            assert sorted(parallel_emb) == sorted(serial_emb)
+            for h, config in parallel_emb.items():
+                assert np.array_equal(config.points, serial_emb[h].points)
+                assert not config.points.flags.writeable
+        assert parallel.row(1).failed
+
+    def test_unguarded_script_fails_with_guard_message(self, tmp_path):
+        # Spawned workers import the main module; without a main guard each
+        # one starts a sweep of its own and dies, which must not hang.
+        script = tmp_path / "unguarded.py"
+        script.write_text(
+            "from stresstune import DissimilarityGraph, sweep_hops\n"
+            "g = DissimilarityGraph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])\n"
+            "sweep_hops(g, 2, [1, 3], workers=2)\n"
+        )
+        src = str(Path(stresstune.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                              timeout=120, env=env, cwd=tmp_path)
+        assert proc.returncode != 0
+        last = proc.stderr.strip().splitlines()[-1]
+        assert last.startswith("stresstune.core.StressTuneError:")
+        assert 'if __name__ == "__main__":' in last
+
+    def test_auto_workers_need_cores_hop_values_and_nodes(self, rng, monkeypatch):
+        from stresstune import knn_graph, tune
+
+        pooled = []
+
+        def fake_pool(hs, workers, args):
+            pooled.append(workers)
+            return {h: tune._sweep_one(h, *args) for h in hs}
+
+        monkeypatch.setattr(tune, "_sweep_in_processes", fake_pool)
+        big = knn_graph(Configuration(rng.uniform(size=(tune._POOL_MIN_NODES, 2))), 6)
+        small = knn_graph(Configuration(rng.uniform(size=(tune._POOL_MIN_NODES - 1, 2))), 6)
+        for cores, g, hs, expected in [
+            (2, big, [1, 2], [2]),
+            (4, big, [1, 2], [2]),  # no more workers than hop values
+            (1, big, [1, 2], []),
+            (2, big, [2], []),
+            (2, small, [1, 2], []),
+        ]:
+            pooled.clear()
+            monkeypatch.setattr(tune, "_usable_cores", lambda: cores)
+            sweep_hops(g, 2, hs, refine_patches=False, final_refine=False)
+            assert pooled == expected
+
+    def test_workers_must_be_positive(self, rng):
+        g = complete_graph(rng.uniform(size=(6, 2)))
+        with pytest.raises(ValueError):
+            sweep_hops(g, 2, [1, 2], workers=0)
 
     def test_embeddings_out_parameter(self, rng):
         pts = rng.uniform(size=(10, 2))
