@@ -187,10 +187,13 @@ def double_center(matrix: DenseSymmetricMatrix) -> DenseSymmetricMatrix:
     A = matrix.values
     if matrix.allow_infinite and np.isinf(A).any():
         raise ValueError("cannot double-center a matrix with infinite entries")
+    return DenseSymmetricMatrix(_double_center_array(A))
+
+
+def _double_center_array(A: np.ndarray) -> np.ndarray:
     r = A.mean(axis=1)
     B = A - r[:, None] - r[None, :] + A.mean()
-    B = (B + B.T) / 2.0
-    return DenseSymmetricMatrix(B)
+    return (B + B.T) / 2.0
 
 
 def _top_eigenpairs_array(B: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:

@@ -15,6 +15,7 @@ from .core import (
     DenseSymmetricMatrix,
     DisconnectedGraphError,
     StressTuneError,
+    _double_center_array,
     _top_eigenpairs_array,
     affine_rank,
     pseudo_inverse,
@@ -26,12 +27,6 @@ _SMACOF_DIST_FLOOR = 1e-12
 
 SMACOF_MAX_ITER = 300
 SMACOF_TOL = 1e-6
-
-
-def _double_center_array(A: np.ndarray) -> np.ndarray:
-    r = A.mean(axis=1)
-    B = A - r[:, None] - r[None, :] + A.mean()
-    return (B + B.T) / 2.0
 
 
 def _classical_scaling_array(D: np.ndarray, p: int) -> np.ndarray:

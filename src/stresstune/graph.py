@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import csv
 import os
-from collections import deque
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -83,7 +81,6 @@ class DissimilarityGraph:
         self.weights = w
         self._adj = None
         self._structure = None
-        self._bumped = None
 
     def __reduce__(self):
         # Through the constructor: the edge arrays come back read-only and the
@@ -99,7 +96,10 @@ class DissimilarityGraph:
         return int(self.ei.size)
 
     def _adj_csr(self) -> csr_matrix:
-        """CSR adjacency with true weights (may hold explicit zeros); for slicing only."""
+        """CSR adjacency with true weights (may hold explicit zeros).
+
+        For slicing, and for :func:`shortest_paths_csr`, which bumps the zeros.
+        """
         if self._adj is None:
             rows = np.concatenate([self.ei, self.ej])
             cols = np.concatenate([self.ej, self.ei])
@@ -116,14 +116,6 @@ class DissimilarityGraph:
             m.data = np.ones_like(m.data)
             self._structure = m
         return self._structure
-
-    def csgraph_csr(self) -> csr_matrix:
-        """CSR adjacency safe for scipy.csgraph (zero weights bumped to subnormal)."""
-        if self._bumped is None:
-            m = self._adj_csr().copy()
-            m.data = np.where(m.data > 0.0, m.data, _ZERO_WEIGHT_BUMP)
-            self._bumped = m
-        return self._bumped
 
     def neighbors(self, v: int) -> tuple[np.ndarray, np.ndarray]:
         """Neighbor indices (ascending) and matching weights for node ``v``."""
@@ -142,29 +134,6 @@ class DissimilarityGraph:
     def degrees(self) -> np.ndarray:
         adj = self._adj_csr()
         return np.diff(adj.indptr)
-
-
-@dataclass(frozen=True)
-class HopNeighborhood:
-    """Nodes within ``h`` hops of ``center`` (members stored sorted ascending)."""
-
-    center: int
-    h: int
-    members: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.h < 1:
-            raise ValueError("h must be >= 1")
-        members = tuple(int(m) for m in self.members)
-        if list(members) != sorted(set(members)):
-            raise ValueError("members must be strictly increasing and unique")
-        if self.center not in members:
-            raise ValueError("center must belong to its own neighborhood")
-        object.__setattr__(self, "members", members)
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
 
 
 def _union_knn_pairs(nearest: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -256,27 +225,6 @@ def min_connectivity_radius(config: Configuration) -> float:
     return bottleneck
 
 
-def hop_neighborhood(g: DissimilarityGraph, v: int, h: int) -> HopNeighborhood:
-    """Breadth-first ball of radius ``h`` (in hops) around node ``v``."""
-    if not 0 <= v < g.n:
-        raise ValueError(f"node {v} out of range")
-    if h < 1:
-        raise ValueError("h must be >= 1")
-    adj = g.structure_csr()
-    seen = {v}
-    frontier = deque([(v, 0)])
-    while frontier:
-        u, d = frontier.popleft()
-        if d == h:
-            continue
-        for nb in adj.indices[adj.indptr[u] : adj.indptr[u + 1]]:
-            nb = int(nb)
-            if nb not in seen:
-                seen.add(nb)
-                frontier.append((nb, d + 1))
-    return HopNeighborhood(center=v, h=h, members=tuple(sorted(seen)))
-
-
 def hop_distances(g: DissimilarityGraph) -> np.ndarray:
     """All-pairs hop counts (float matrix, ``inf`` for unreachable pairs)."""
     return _csgraph_shortest_path(g.structure_csr(), method="D", directed=False, unweighted=True)
@@ -327,7 +275,7 @@ def all_pairs_shortest_paths(
     additively exact weights (e.g. integers) the two agree bit for bit.
     """
     if method == "dijkstra":
-        D = _snap_bumped_zeros(_csgraph_shortest_path(g.csgraph_csr(), method="D", directed=False))
+        D = shortest_paths_csr(g._adj_csr())
     elif method == "floyd-warshall":
         D = _floyd_warshall_dense(g.n, g.ei, g.ej, g.weights)
     else:

@@ -1,10 +1,12 @@
-"""Patch-based embedding: embed hop neighborhoods locally, then stitch them
-into one global configuration by rigid alignment on their overlaps.
+"""Patch-based embedding (MDS-MAP(P)): embed hop neighborhoods locally, then
+stitch them into one global configuration by rigid alignment on their overlaps.
 
-The patch whose neighborhood is largest seeds the global map; remaining
-patches are merged greedily by overlap with the already-placed node set.
-Nodes keep the coordinates from their first placement. All ties break toward
-the lowest center index, which makes runs on identical inputs bit-identical.
+Stitching runs in three phases: a merge plan computed from hop-ball
+memberships alone (:func:`_merge_plan`), one embedding per patch that adds
+nodes (:func:`_embed_members`), and Procrustes placement into arrays updated
+in place (:func:`merge`). The largest ball seeds the map; nodes keep the
+coordinates of their first placement. All ties break toward the lowest
+center index, which makes runs on identical inputs bit-identical.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from .align import procrustes
 from .core import (
@@ -30,9 +33,7 @@ from .embed import (
 )
 from .graph import (
     DissimilarityGraph,
-    HopNeighborhood,
     hop_balls,
-    hop_neighborhood,
     induced_subgraph_csr,
     is_connected,
     shortest_paths_csr,
@@ -49,32 +50,8 @@ class MergeError(StressTuneError):
 
 
 @dataclass(frozen=True)
-class Patch:
-    """A locally embedded hop neighborhood.
-
-    ``local_embedding`` is indexed by ``neighborhood.members`` (ascending
-    node order).
-    """
-
-    neighborhood: HopNeighborhood
-    local_embedding: Configuration
-
-    def __post_init__(self):
-        if self.local_embedding.n != self.neighborhood.size:
-            raise ValueError("patch fields must agree with the neighborhood size")
-
-    @property
-    def members(self) -> tuple[int, ...]:
-        return self.neighborhood.members
-
-    @property
-    def center(self) -> int:
-        return self.neighborhood.center
-
-
-@dataclass(frozen=True)
 class GlobalMap:
-    """Partial global placement: coordinates for placed nodes plus a merge log.
+    """A stitched placement: node coordinates, placed flags and the merge log.
 
     ``merge_log`` holds ``(patch_center, overlap_size)`` pairs in merge order;
     the seed patch is logged with overlap 0.
@@ -100,21 +77,6 @@ class GlobalMap:
     def __reduce__(self):
         return (GlobalMap, (self.coords, self.placed, self.merge_log))
 
-    @classmethod
-    def empty(cls, n: int, p: int) -> "GlobalMap":
-        return cls(coords=np.full((n, p), np.nan), placed=np.zeros(n, dtype=bool))
-
-    @property
-    def n(self) -> int:
-        return self.coords.shape[0]
-
-    @property
-    def p(self) -> int:
-        return self.coords.shape[1]
-
-    def placed_count(self) -> int:
-        return int(self.placed.sum())
-
     def as_configuration(self) -> Configuration:
         if not self.placed.all():
             raise StressTuneError("global map is incomplete")
@@ -126,11 +88,17 @@ def _embed_members(
     members: np.ndarray,
     center: int,
     p: int,
-    refine: bool,
-    max_iter: int,
-    tol: float,
+    refine: bool = True,
+    max_iter: int = SMACOF_MAX_ITER,
+    tol: float = SMACOF_TOL,
 ) -> np.ndarray:
-    """Local embedding of one membership set, from its shortest-path-completed submatrix."""
+    """Local embedding of the patch ``members`` (ascending), one row per member.
+
+    The patch's missing dissimilarities are completed with shortest paths
+    inside the induced subgraph, classical scaling embeds the completed
+    matrix, and (optionally) stress majorization against the observed edges
+    refines the result.
+    """
     m = members.size
     if m < p + 1:
         raise PatchError(f"patch at node {center} has {m} nodes; need at least {p + 1}")
@@ -145,36 +113,18 @@ def _embed_members(
     return Y
 
 
-def build_patch(
-    g: DissimilarityGraph,
-    v: int,
-    h: int,
-    p: int,
-    refine: bool = True,
-    max_iter: int = SMACOF_MAX_ITER,
-    tol: float = SMACOF_TOL,
-) -> Patch:
-    """Embed the ``h``-hop neighborhood of ``v``.
-
-    The neighborhood's missing dissimilarities are completed with shortest
-    paths inside the induced subgraph, classical scaling embeds the completed
-    matrix, and (optionally) stress majorization against the observed edges
-    refines the result.
-    """
-    nbhd = hop_neighborhood(g, v, h)
-    members = np.array(nbhd.members, dtype=np.int64)
-    Y = _embed_members(g, members, v, p, refine, max_iter, tol)
-    return Patch(neighborhood=nbhd, local_embedding=Configuration(Y))
-
-
-def _check_overlap(gm: GlobalMap, members: np.ndarray, center: int, p: int) -> np.ndarray:
-    overlap = members[gm.placed[members]]
+def _check_overlap(
+    coords: np.ndarray, placed: np.ndarray, members: np.ndarray, center: int
+) -> np.ndarray:
+    """Placed members of a patch; raises unless they pin down a ``p``-dimensional fit."""
+    p = coords.shape[1]
+    overlap = members[placed[members]]
     if overlap.size < p + 1:
         raise MergeError(
             f"patch at node {center} overlaps only {overlap.size} placed nodes; "
             f"need at least {p + 1} (try a larger neighborhood h)"
         )
-    if affine_rank(gm.coords[overlap], rcond=PINV_RCOND) < p:
+    if affine_rank(coords[overlap], rcond=PINV_RCOND) < p:
         raise MergeError(
             f"placed overlap of patch at node {center} is affinely degenerate "
             f"(try a larger neighborhood h)"
@@ -182,36 +132,65 @@ def _check_overlap(gm: GlobalMap, members: np.ndarray, center: int, p: int) -> n
     return overlap
 
 
-def merge(gm: GlobalMap, patch: Patch) -> GlobalMap:
-    """Merge a patch into the global map by Procrustes on the placed overlap.
+def merge(
+    coords: np.ndarray, placed: np.ndarray, members: np.ndarray, local: np.ndarray, center: int
+) -> None:
+    """Place a patch's new nodes, in place, by Procrustes on its placed overlap.
 
+    ``local`` holds the patch coordinates, one row per entry of ``members``.
     Already-placed nodes keep their coordinates; new nodes adopt the patch
     coordinates mapped through the fitted rigid-plus-reflection transform.
     """
-    members = np.array(patch.members, dtype=np.int64)
-    if members.max(initial=0) >= gm.n:
-        raise ValueError("patch members exceed the global map size")
-    if patch.local_embedding.p != gm.p:
-        raise ValueError("patch and global dimensions disagree")
-    overlap = _check_overlap(gm, members, patch.center, gm.p)
-    new = members[~gm.placed[members]]
-    log = gm.merge_log + ((patch.center, int(overlap.size)),)
-    if new.size == 0:
-        return GlobalMap(coords=gm.coords, placed=gm.placed, merge_log=log)
-    local = patch.local_embedding.points
-    pos = {node: k for k, node in enumerate(patch.members)}
-    ov_rows = np.array([pos[node] for node in overlap], dtype=np.int64)
-    new_rows = np.array([pos[node] for node in new], dtype=np.int64)
+    overlap = _check_overlap(coords, placed, members, center)
+    old = placed[members]
     fit = procrustes(
-        Configuration(local[ov_rows]),
-        Configuration(gm.coords[overlap]),
+        Configuration(local[old]),
+        Configuration(coords[overlap]),
         allow_reflection=True,
     )
-    coords = np.array(gm.coords, copy=True)
-    placed = np.array(gm.placed, copy=True)
-    coords[new] = fit.apply(local[new_rows])
+    new = members[~old]
+    coords[new] = fit.apply(local[~old])
     placed[new] = True
-    return GlobalMap(coords=coords, placed=placed, merge_log=log)
+
+
+def _merge_plan(balls: csr_matrix, p: int):
+    """Greedy merge order of the patches, from hop-ball memberships alone.
+
+    Yields ``(center, overlap, adds_new)``: first the seed, the largest ball,
+    with overlap 0; then, until every node is placed, the unmerged center
+    whose ball holds the most placed nodes (ties toward the lowest index),
+    with that count, each merge placing its whole ball. Lazily, so an error
+    raised while placing a patch comes before any later planning error.
+    """
+    n = balls.shape[0]
+    sizes = np.diff(balls.indptr)
+    placed = np.zeros(n, dtype=bool)
+    processed = np.zeros(n, dtype=bool)
+    # counts[u] = placed members of u's ball. Balls are symmetric, so placing
+    # w raises the count of exactly the nodes in w's ball.
+    counts = np.zeros(n, dtype=np.int64)
+    v = int(np.argmax(sizes))
+    overlap = 0
+    while True:
+        yield v, overlap, bool(overlap < sizes[v])
+        members = balls.indices[balls.indptr[v] : balls.indptr[v + 1]]
+        newly = members[~placed[members]]
+        placed[newly] = True
+        processed[v] = True
+        if newly.size:
+            counts += np.bincount(balls[newly].indices, minlength=n)
+        if placed.all():
+            return
+        cand = np.where(processed, -1, counts)
+        v = int(np.argmax(cand))
+        overlap = int(cand[v])
+        if overlap < p + 1:
+            missing = np.flatnonzero(~placed)
+            listed = ", ".join(str(u) for u in missing[:8])
+            raise MergeError(
+                f"{missing.size} node(s) never reachable by a mergeable patch "
+                f"(e.g. {listed}); increase h"
+            )
 
 
 def mds_map_p(
@@ -222,19 +201,22 @@ def mds_map_p(
     final_refine: bool = True,
     max_iter: int = SMACOF_MAX_ITER,
     tol: float = SMACOF_TOL,
-    centers: "list[int] | None" = None,
     return_global_map: bool = False,
 ):
-    """Embed a connected graph by stitching per-node ``h``-hop patches.
+    """Embed a connected graph by stitching per-node ``h``-hop patches (MDS-MAP(P)).
 
-    One patch is defined per node (or per entry of ``centers`` when patch
-    centers are subsampled). The largest neighborhood seeds the global map,
-    and the remaining patches merge in decreasing order of overlap with the
-    placed set (ties toward the lowest center index). Local embeddings are
-    computed only when a patch is actually merged; the merge order depends
-    on memberships alone, so the result is identical to embedding every
-    patch up front. ``final_refine`` runs stress majorization on the
-    stitched configuration against all observed edges.
+    Three phases. A merge plan, from the hop balls alone: the largest ball
+    seeds the map, and the remaining patches follow in decreasing order of
+    overlap with the placed set (ties toward the lowest center index). Each
+    patch that adds nodes is embedded on its own (shortest-path completion,
+    classical scaling, optionally ``refine_patches`` stress majorization), and
+    its new nodes are placed by Procrustes on the overlap into arrays updated
+    in place; nodes keep the coordinates of their first placement. A patch
+    that adds no nodes is only checked for a valid overlap. ``final_refine``
+    runs stress majorization on the stitched configuration against all
+    observed edges. With ``return_global_map`` the stitched :class:`GlobalMap`,
+    whose ``merge_log`` lists ``(center, overlap)`` in merge order, is
+    returned too.
 
     Memberships are kept as sparse hop balls (:func:`~stresstune.graph.hop_balls`)
     and both refinements factor a sparse grounded Laplacian, so memory is
@@ -248,19 +230,8 @@ def mds_map_p(
     if not is_connected(g):
         raise DisconnectedGraphError("patch stitching requires a connected graph")
     n = g.n
-    if centers is None:
-        eligible = np.ones(n, dtype=bool)
-    else:
-        idx = np.unique(np.asarray(list(centers), dtype=np.int64))
-        if idx.size == 0:
-            raise ValueError("centers must be nonempty")
-        if idx[0] < 0 or idx[-1] >= n:
-            raise ValueError("centers must be node indices in [0, n)")
-        eligible = np.zeros(n, dtype=bool)
-        eligible[idx] = True
     balls = hop_balls(g, h)
-    sizes = np.diff(balls.indptr)
-    too_small = np.flatnonzero(eligible & (sizes < p + 1))
+    too_small = np.flatnonzero(np.diff(balls.indptr) < p + 1)
     if too_small.size:
         listed = ", ".join(str(v) for v in too_small[:8])
         raise PatchError(
@@ -268,60 +239,26 @@ def mds_map_p(
             f"(centers {listed}{', ...' if too_small.size > 8 else ''})"
         )
 
-    def ball(v: int) -> np.ndarray:
-        return balls.indices[balls.indptr[v] : balls.indptr[v + 1]].astype(np.int64)
-
-    def embed_center(v: int) -> Patch:
-        members = ball(v)
-        Y = _embed_members(g, members, v, p, refine_patches, max_iter, tol)
-        nbhd = HopNeighborhood(center=v, h=h, members=tuple(members.tolist()))
-        return Patch(neighborhood=nbhd, local_embedding=Configuration(Y))
-
-    seed = int(np.argmax(np.where(eligible, sizes, -1)))
-    seed_patch = embed_center(seed)
-    members = ball(seed)
     coords = np.full((n, p), np.nan)
     placed = np.zeros(n, dtype=bool)
-    coords[members] = seed_patch.local_embedding.points
-    placed[members] = True
-    gm = GlobalMap(coords=coords, placed=placed, merge_log=((seed, 0),))
-
-    processed = np.zeros(n, dtype=bool)
-    processed[seed] = True
-    # counts[u] = placed members of u's ball. Balls are symmetric, so placing
-    # w raises the count of exactly the nodes in w's ball.
-    counts = np.bincount(balls[members].indices, minlength=n)
-    while not gm.placed.all():
-        cand = np.where(processed | ~eligible, -1, counts)
-        v = int(np.argmax(cand))
-        if cand[v] < p + 1:
-            missing = np.flatnonzero(~gm.placed)
-            listed = ", ".join(str(u) for u in missing[:8])
-            raise MergeError(
-                f"{missing.size} node(s) never reachable by a mergeable patch "
-                f"(e.g. {listed}); increase h"
-            )
-        was_placed = gm.placed
-        mem = ball(v)
-        if bool(gm.placed[mem].all()):
-            # No new nodes: first-placement-wins makes the transform moot,
-            # so only the overlap validity check runs.
-            _check_overlap(gm, mem, v, p)
-            gm = GlobalMap(
-                coords=gm.coords,
-                placed=gm.placed,
-                merge_log=gm.merge_log + ((v, int(mem.size)),),
-            )
+    log = []
+    for v, overlap, adds_new in _merge_plan(balls, p):
+        members = balls.indices[balls.indptr[v] : balls.indptr[v + 1]].astype(np.int64)
+        if not adds_new:
+            # First placement wins, so the transform is moot: only the overlap is checked.
+            _check_overlap(coords, placed, members, v)
         else:
-            gm = merge(gm, embed_center(v))
-        processed[v] = True
-        newly = np.flatnonzero(gm.placed & ~was_placed)
-        if newly.size:
-            counts += np.bincount(balls[newly].indices, minlength=n)
+            local = _embed_members(g, members, v, p, refine_patches, max_iter, tol)
+            if log:
+                merge(coords, placed, members, local, v)
+            else:  # the seed sets the frame of the global map
+                coords[members] = local
+                placed[members] = True
+        log.append((v, overlap))
 
-    result = gm.as_configuration()
+    result = Configuration(coords)
     if final_refine:
         result = smacof_refine(g, result, max_iter=max_iter, tol=tol)
     if return_global_map:
-        return result, gm
+        return result, GlobalMap(coords=coords, placed=placed, merge_log=log)
     return result

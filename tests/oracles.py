@@ -69,6 +69,36 @@ def bfs_hops(n: int, edges, source: int) -> list[float]:
     return hops
 
 
+def merge_plan_loop(n: int, edges, h: int, p: int):
+    """Greedy MDS-MAP(P) merge order over Python sets of BFS balls.
+
+    The seed is the largest ``h``-hop ball (lowest index on ties), logged
+    with overlap 0. Then, until every node is placed, the unmerged center
+    whose ball holds the most placed nodes (lowest index on ties) is logged
+    with that count and places its whole ball. Returns the list of
+    ``(center, overlap)`` pairs, or None when the best overlap left is
+    below ``p + 1`` before every node is placed.
+    """
+    balls = []
+    for v in range(n):
+        hops = bfs_hops(n, edges, v)
+        balls.append({u for u in range(n) if hops[u] <= h})
+    seed = min(range(n), key=lambda v: (-len(balls[v]), v))
+    log = [(seed, 0)]
+    placed = set(balls[seed])
+    merged = {seed}
+    while len(placed) < n:
+        rest = [v for v in range(n) if v not in merged]
+        best = min(rest, key=lambda v: (-len(balls[v] & placed), v))
+        overlap = len(balls[best] & placed)
+        if overlap < p + 1:
+            return None
+        log.append((best, overlap))
+        placed |= balls[best]
+        merged.add(best)
+    return log
+
+
 def union_find_components(n: int, edges) -> list[list[int]]:
     parent = list(range(n))
 

@@ -247,3 +247,16 @@ class TestConfigurationCsv:
         path.write_text("id,x1\n0,1.0\n2,2.0\n")
         with pytest.raises(ValueError):
             read_configuration_csv(path)
+
+
+class TestPublicApi:
+    def test_every_exported_name_resolves_once(self):
+        import stresstune
+
+        names = stresstune.__all__
+        assert len(names) == len(set(names))
+        missing = [name for name in names if not hasattr(stresstune, name)]
+        assert missing == []
+        namespace = {}
+        exec("from stresstune import *", namespace)
+        assert set(names) <= set(namespace)

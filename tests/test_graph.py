@@ -14,7 +14,6 @@ from stresstune import (
     all_pairs_shortest_paths,
     connected_components,
     hop_balls,
-    hop_neighborhood,
     is_connected,
     knn_graph,
     knn_graph_from_matrix,
@@ -23,7 +22,7 @@ from stresstune import (
     read_edge_csv,
     write_edge_csv,
 )
-from stresstune.graph import hop_distances
+from stresstune.graph import hop_distances, shortest_paths_csr
 
 
 def line_config(*xs):
@@ -78,6 +77,9 @@ class TestDissimilarityGraph:
         D = all_pairs_shortest_paths(g)
         assert D.values[0, 1] == 0.0
         assert D.values[0, 2] == 1.0
+        chain = DissimilarityGraph(5, [(0, 1, 0.0), (1, 2, 0.0), (2, 3, 1.5), (3, 4, 0.0)])
+        want = oracles.dijkstra_all_pairs(5, edge_triples(chain))
+        np.testing.assert_array_equal(shortest_paths_csr(chain._adj_csr()), want)
 
 
 class TestKnnGraph:
@@ -191,14 +193,20 @@ class TestMinConnectivityRadius:
 
 
 class TestHopNeighborhood:
+    """Rows of ``hop_balls`` are the BFS hop neighborhoods."""
+
     def path4(self):
         return DissimilarityGraph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
 
+    @staticmethod
+    def members(g, v, h):
+        return hop_balls(g, h)[v].indices.tolist()
+
     def test_path_two_hops(self):
-        assert hop_neighborhood(self.path4(), 0, 2).members == (0, 1, 2)
+        assert self.members(self.path4(), 0, 2) == [0, 1, 2]
 
     def test_saturation(self):
-        assert hop_neighborhood(self.path4(), 0, 10).members == (0, 1, 2, 3)
+        assert self.members(self.path4(), 0, 10) == [0, 1, 2, 3]
 
     def test_matches_reference_bfs(self, rng):
         g = random_graph(rng, 40)
@@ -206,14 +214,14 @@ class TestHopNeighborhood:
         for v in [0, 7, 23]:
             hops = oracles.bfs_hops(40, triples, v)
             for h in (1, 2, 3):
-                want = tuple(u for u in range(40) if hops[u] <= h)
-                assert hop_neighborhood(g, v, h).members == want
+                want = [u for u in range(40) if hops[u] <= h]
+                assert self.members(g, v, h) == want
 
     def test_monotone_in_h(self, rng):
         g = random_graph(rng, 30)
         for h in (1, 2, 3):
-            a = set(hop_neighborhood(g, 5, h).members)
-            b = set(hop_neighborhood(g, 5, h + 1).members)
+            a = set(self.members(g, 5, h))
+            b = set(self.members(g, 5, h + 1))
             assert a <= b
 
     def test_hop_distances_matrix(self, rng):
