@@ -3,6 +3,11 @@
 The central type is :class:`DissimilarityGraph`, an undirected weighted graph
 over nodes ``0..n-1`` with a canonical edge order (sorted pairs ``i < j``),
 which makes downstream seeded pipelines reproducible byte for byte.
+
+Every traversal runs on the one weighted CSR adjacency the graph caches.
+A zero weight is stored explicitly, and scipy's csgraph routines treat a
+stored zero as an edge, so zero-weight edges connect nodes, count as one hop
+and add nothing to a path length.
 """
 
 from __future__ import annotations
@@ -24,10 +29,6 @@ from .core import (
     DisconnectedGraphError,
     StressTuneError,
 )
-
-# Zero-weight edges are kept traversable by bumping their stored weight to the
-# smallest subnormal; adding it to any practical path length is a no-op.
-_ZERO_WEIGHT_BUMP = 5e-324
 
 # Sources per truncated BFS in hop_balls; each block holds a block x n
 # distance array only while its ball rows are extracted.
@@ -80,11 +81,10 @@ class DissimilarityGraph:
         self.ej = hi
         self.weights = w
         self._adj = None
-        self._structure = None
 
     def __reduce__(self):
         # Through the constructor: the edge arrays come back read-only and the
-        # lazily built CSR copies are not shipped.
+        # lazily built CSR adjacency is not shipped.
         return (DissimilarityGraph, (self._n, (self.ei, self.ej, self.weights)))
 
     @property
@@ -96,10 +96,7 @@ class DissimilarityGraph:
         return int(self.ei.size)
 
     def _adj_csr(self) -> csr_matrix:
-        """CSR adjacency with true weights (may hold explicit zeros).
-
-        For slicing, and for :func:`shortest_paths_csr`, which bumps the zeros.
-        """
+        """CSR adjacency with true weights; zero weights are stored explicitly."""
         if self._adj is None:
             rows = np.concatenate([self.ei, self.ej])
             cols = np.concatenate([self.ej, self.ei])
@@ -108,14 +105,6 @@ class DissimilarityGraph:
             m.sort_indices()
             self._adj = m
         return self._adj
-
-    def structure_csr(self) -> csr_matrix:
-        """CSR adjacency with unit weights, for unweighted traversals."""
-        if self._structure is None:
-            m = self._adj_csr().copy()
-            m.data = np.ones_like(m.data)
-            self._structure = m
-        return self._structure
 
     def neighbors(self, v: int) -> tuple[np.ndarray, np.ndarray]:
         """Neighbor indices (ascending) and matching weights for node ``v``."""
@@ -225,11 +214,6 @@ def min_connectivity_radius(config: Configuration) -> float:
     return bottleneck
 
 
-def hop_distances(g: DissimilarityGraph) -> np.ndarray:
-    """All-pairs hop counts (float matrix, ``inf`` for unreachable pairs)."""
-    return _csgraph_shortest_path(g.structure_csr(), method="D", directed=False, unweighted=True)
-
-
 def hop_balls(g: DissimilarityGraph, h: int) -> csr_matrix:
     """Boolean CSR matrix whose row ``v`` marks the nodes within ``h`` hops of ``v``.
 
@@ -241,7 +225,7 @@ def hop_balls(g: DissimilarityGraph, h: int) -> csr_matrix:
     if h < 1:
         raise ValueError("h must be >= 1")
     n = g.n
-    adj = g.structure_csr()
+    adj = g._adj_csr()
     counts = np.zeros(n, dtype=np.int64)
     cols = []
     for start in range(0, n, _HOP_BALL_BLOCK):
@@ -260,6 +244,7 @@ def _floyd_warshall_dense(n: int, ei, ej, w) -> np.ndarray:
     np.fill_diagonal(D, 0.0)
     D[ei, ej] = w
     D[ej, ei] = w
+    # (i, j) and (j, i) add the same two terms in each pass, so D stays exactly symmetric.
     for k in range(n):
         np.minimum(D, D[:, k, None] + D[None, k, :], out=D)
     return D
@@ -280,7 +265,6 @@ def all_pairs_shortest_paths(
         D = _floyd_warshall_dense(g.n, g.ei, g.ej, g.weights)
     else:
         raise ValueError(f"unknown method {method!r}")
-    D = np.minimum(D, D.T)
     return DenseSymmetricMatrix(D, allow_infinite=True)
 
 
@@ -289,7 +273,7 @@ def connected_components(g: DissimilarityGraph) -> list[list[int]]:
 
     Components are ordered by their smallest member; members are ascending.
     """
-    _, labels = _csgraph_components(g.structure_csr(), directed=False)
+    _, labels = _csgraph_components(g._adj_csr(), directed=False)
     groups: dict[int, list[int]] = {}
     for node, lab in enumerate(labels):
         groups.setdefault(int(lab), []).append(node)
@@ -317,20 +301,9 @@ def subgraph_edges(sub: csr_matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     )
 
 
-def _snap_bumped_zeros(D: np.ndarray) -> np.ndarray:
-    # Zero-weight edges enter Dijkstra bumped to the smallest subnormal, so a
-    # pure-zero path sums to < n * 5e-324, far below the smallest normal
-    # float. Any path through a genuine positive weight is normal-sized, so
-    # snapping subnormal outputs back to zero undoes the bump exactly.
-    D[D < np.finfo(np.float64).tiny] = 0.0
-    return D
-
-
 def shortest_paths_csr(sub: csr_matrix) -> np.ndarray:
-    """Per-source Dijkstra on a (bumped) CSR adjacency; symmetrized output."""
-    data = np.where(sub.data > 0.0, sub.data, _ZERO_WEIGHT_BUMP)
-    safe = csr_matrix((data, sub.indices, sub.indptr), shape=sub.shape)
-    D = _snap_bumped_zeros(_csgraph_shortest_path(safe, method="D", directed=False))
+    """Per-source Dijkstra on a CSR adjacency, symmetrized by the smaller of the two values."""
+    D = _csgraph_shortest_path(sub, method="D", directed=False)
     return np.minimum(D, D.T)
 
 

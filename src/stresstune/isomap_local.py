@@ -11,7 +11,6 @@ Euclidean MST edge — the smallest radius that keeps the graph connected.
 from __future__ import annotations
 
 from .core import Configuration, DisconnectedGraphError
-from .embed import SMACOF_MAX_ITER, SMACOF_TOL
 from .graph import is_connected, min_connectivity_radius, radius_graph
 from .stitch import mds_map_p
 
@@ -32,8 +31,6 @@ def local_isomap(
     p: int,
     refine_patches: bool = True,
     final_refine: bool = True,
-    max_iter: int = SMACOF_MAX_ITER,
-    tol: float = SMACOF_TOL,
 ) -> Configuration:
     """Embed ambient points into R^p via a radius graph and patch stitching.
 
@@ -48,12 +45,4 @@ def local_isomap(
             f"radius graph at r={r:g} is disconnected; the smallest connecting "
             f"radius is {min_connectivity_radius(points):g}"
         )
-    return mds_map_p(
-        g,
-        h,
-        p,
-        refine_patches=refine_patches,
-        final_refine=final_refine,
-        max_iter=max_iter,
-        tol=tol,
-    )
+    return mds_map_p(g, h, p, refine_patches=refine_patches, final_refine=final_refine)

@@ -89,8 +89,6 @@ def _embed_members(
     center: int,
     p: int,
     refine: bool = True,
-    max_iter: int = SMACOF_MAX_ITER,
-    tol: float = SMACOF_TOL,
 ) -> np.ndarray:
     """Local embedding of the patch ``members`` (ascending), one row per member.
 
@@ -109,7 +107,7 @@ def _embed_members(
     Y = _classical_scaling_array(local_D, p)
     if refine:
         ei, ej, w = subgraph_edges(sub)
-        Y, _ = _smacof(m, ei, ej, w, Y, max_iter, tol)
+        Y, _ = _smacof(m, ei, ej, w, Y, SMACOF_MAX_ITER, SMACOF_TOL)
     return Y
 
 
@@ -199,8 +197,6 @@ def mds_map_p(
     p: int,
     refine_patches: bool = True,
     final_refine: bool = True,
-    max_iter: int = SMACOF_MAX_ITER,
-    tol: float = SMACOF_TOL,
     return_global_map: bool = False,
 ):
     """Embed a connected graph by stitching per-node ``h``-hop patches (MDS-MAP(P)).
@@ -248,7 +244,7 @@ def mds_map_p(
             # First placement wins, so the transform is moot: only the overlap is checked.
             _check_overlap(coords, placed, members, v)
         else:
-            local = _embed_members(g, members, v, p, refine_patches, max_iter, tol)
+            local = _embed_members(g, members, v, p, refine_patches)
             if log:
                 merge(coords, placed, members, local, v)
             else:  # the seed sets the frame of the global map
@@ -258,7 +254,7 @@ def mds_map_p(
 
     result = Configuration(coords)
     if final_refine:
-        result = smacof_refine(g, result, max_iter=max_iter, tol=tol)
+        result = smacof_refine(g, result)
     if return_global_map:
         return result, GlobalMap(coords=coords, placed=placed, merge_log=log)
     return result

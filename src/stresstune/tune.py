@@ -18,7 +18,6 @@ import numpy as np
 
 from .align import aligned_error, scale_ratio
 from .core import Configuration, StressTuneError
-from .embed import SMACOF_MAX_ITER, SMACOF_TOL
 from .graph import DissimilarityGraph
 from .stitch import mds_map_p
 
@@ -183,21 +182,11 @@ def _sweep_one(
     truth: Configuration | None,
     refine_patches: bool,
     final_refine: bool,
-    max_iter: int,
-    tol: float,
 ) -> tuple[SweepRow, Configuration | None]:
     """Stitch and score one hop value; a domain error yields a failed row."""
     start = time.perf_counter()
     try:
-        config = mds_map_p(
-            g,
-            h,
-            p,
-            refine_patches=refine_patches,
-            final_refine=final_refine,
-            max_iter=max_iter,
-            tol=tol,
-        )
+        config = mds_map_p(g, h, p, refine_patches=refine_patches, final_refine=final_refine)
     except StressTuneError:
         return (
             SweepRow(
@@ -226,11 +215,31 @@ def _sweep_one(
     return row, config
 
 
+def _exit_with_parent() -> None:
+    """Pool initializer: end this worker as soon as the process that spawned it is gone.
+
+    A worker holds the write end of its own task pipe, so a worker whose
+    parent was killed would otherwise wait for its next task forever.
+    """
+    import multiprocessing
+    import threading
+    from multiprocessing.connection import wait
+
+    sentinel = multiprocessing.parent_process().sentinel
+
+    def watch():
+        wait([sentinel])
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
 def _sweep_in_processes(hs: list[int], workers: int, args: tuple) -> dict:
     """``{h: _sweep_one(h, *args)}`` from a pool of spawned worker processes.
 
     The largest (slowest) hop values are submitted first; results are keyed
-    by h, so they do not depend on the schedule.
+    by h, so they do not depend on the schedule. Each worker exits when this
+    process dies, even when it is killed mid-sweep.
     """
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -239,7 +248,9 @@ def _sweep_in_processes(hs: list[int], workers: int, args: tuple) -> dict:
     saved = {var: os.environ.get(var) for var in _BLAS_THREAD_VARS}
     try:
         with ProcessPoolExecutor(
-            max_workers=workers, mp_context=multiprocessing.get_context("spawn")
+            max_workers=workers,
+            mp_context=multiprocessing.get_context("spawn"),
+            initializer=_exit_with_parent,
         ) as pool:
             try:
                 # Workers copy the environment when they start, and with spawn
@@ -272,8 +283,6 @@ def sweep_hops(
     truth: Configuration | None = None,
     refine_patches: bool = True,
     final_refine: bool = True,
-    max_iter: int = SMACOF_MAX_ITER,
-    tol: float = SMACOF_TOL,
     workers: int | None = None,
     embeddings: dict | None = None,
 ) -> SweepReport:
@@ -308,7 +317,7 @@ def sweep_hops(
     if workers is None:
         workers = min(len(hs), _usable_cores()) if g.n >= _POOL_MIN_NODES else 1
 
-    args = (g, p, truth, refine_patches, final_refine, max_iter, tol)
+    args = (g, p, truth, refine_patches, final_refine)
     if workers > 1:
         outcomes = _sweep_in_processes(hs, min(workers, len(hs)), args)
     else:

@@ -69,6 +69,11 @@ def bfs_hops(n: int, edges, source: int) -> list[float]:
     return hops
 
 
+def bfs_hop_matrix(n: int, edges) -> np.ndarray:
+    """All-pairs hop counts, one :func:`bfs_hops` row per source (``inf`` if unreachable)."""
+    return np.array([bfs_hops(n, edges, s) for s in range(n)], dtype=np.float64)
+
+
 def merge_plan_loop(n: int, edges, h: int, p: int):
     """Greedy MDS-MAP(P) merge order over Python sets of BFS balls.
 

@@ -41,7 +41,7 @@ class TestConfiguration:
 class TestPickling:
     def test_value_types_come_back_validated_and_read_only(self):
         g = DissimilarityGraph(3, [(1, 0, 1.0), (1, 2, 2.0)])
-        g.structure_csr()
+        assert g._adj_csr() is g._adj
         cases = [
             (Configuration(np.ones((3, 2))), ["points"]),
             (DenseSymmetricMatrix(np.eye(3)), ["values"]),
@@ -56,8 +56,8 @@ class TestPickling:
             for name in arrays:
                 assert np.array_equal(getattr(copy, name), getattr(value, name))
                 assert not getattr(copy, name).flags.writeable
-        # The graph's lazily built CSR copies stay behind.
-        assert pickle.loads(pickle.dumps(g))._structure is None
+        # The graph's lazily built CSR adjacency stays behind.
+        assert pickle.loads(pickle.dumps(g))._adj is None
 
 
 class TestDenseSymmetricMatrix:

@@ -7,6 +7,7 @@ from hypothesis import strategies as hst
 
 import oracles
 import stresstune.graph as graph_module
+import stresstune.stitch as stitch_module
 from stresstune import (
     Configuration,
     DenseSymmetricMatrix,
@@ -17,12 +18,13 @@ from stresstune import (
     is_connected,
     knn_graph,
     knn_graph_from_matrix,
+    mds_map_p,
     min_connectivity_radius,
     radius_graph,
     read_edge_csv,
     write_edge_csv,
 )
-from stresstune.graph import hop_distances, shortest_paths_csr
+from stresstune.graph import shortest_paths_csr
 
 
 def line_config(*xs):
@@ -80,6 +82,38 @@ class TestDissimilarityGraph:
         chain = DissimilarityGraph(5, [(0, 1, 0.0), (1, 2, 0.0), (2, 3, 1.5), (3, 4, 0.0)])
         want = oracles.dijkstra_all_pairs(5, edge_triples(chain))
         np.testing.assert_array_equal(shortest_paths_csr(chain._adj_csr()), want)
+
+    def test_zero_weight_bridge_is_an_edge_in_every_traversal(self, monkeypatch):
+        # Two triangles whose only link is a 0.0-weight edge between 2 and 3.
+        r = float(np.sqrt(2.0))
+        g = DissimilarityGraph(6, [(0, 1, 2.0), (0, 2, r), (1, 2, r),
+                                   (2, 3, 0.0), (3, 4, r), (3, 5, r), (4, 5, 2.0)])
+        assert is_connected(g)
+        assert connected_components(g) == [[0, 1, 2, 3, 4, 5]]
+        balls = hop_balls(g, 1)
+        assert 3 in balls[2].indices and 2 in balls[3].indices
+
+        completed = []
+
+        def recording(sub):
+            D = shortest_paths_csr(sub)
+            completed.append(D)
+            return D
+
+        members_of = []
+
+        def recording_members(graph, members):
+            members_of.append(members.tolist())
+            return graph_module.induced_subgraph_csr(graph, members)
+
+        monkeypatch.setattr(stitch_module, "shortest_paths_csr", recording)
+        monkeypatch.setattr(stitch_module, "induced_subgraph_csr", recording_members)
+        mds_map_p(g, 2, 2)
+        for members, D in zip(members_of, completed):
+            assert np.isfinite(D).all()
+            if 2 in members and 3 in members:
+                assert D[members.index(2), members.index(3)] == 0.0
+        assert any(2 in m and 3 in m for m in members_of)
 
 
 class TestKnnGraph:
@@ -224,13 +258,6 @@ class TestHopNeighborhood:
             b = set(self.members(g, 5, h + 1))
             assert a <= b
 
-    def test_hop_distances_matrix(self, rng):
-        g = random_graph(rng, 25)
-        H = hop_distances(g)
-        triples = edge_triples(g)
-        for v in range(25):
-            np.testing.assert_array_equal(H[v], oracles.bfs_hops(25, triples, v))
-
 
 @hst.composite
 def small_graphs(draw):
@@ -260,12 +287,13 @@ class TestHopBalls:
             balls = hop_balls(g, h)
         assert balls.shape == (g.n, g.n)
         assert balls.has_sorted_indices
-        np.testing.assert_array_equal(balls.toarray(), hop_distances(g) <= h)
+        hops = oracles.bfs_hop_matrix(g.n, edge_triples(g))
+        np.testing.assert_array_equal(balls.toarray(), hops <= h)
 
     def test_default_block_size_partial_last_block(self, rng):
         n = 2 * graph_module._HOP_BALL_BLOCK + 37
         g = random_graph(rng, n, avg_degree=3.0)
-        H = hop_distances(g)
+        H = oracles.bfs_hop_matrix(n, edge_triples(g))
         for h in (1, 3):
             np.testing.assert_array_equal(hop_balls(g, h).toarray(), H <= h)
 

@@ -1,7 +1,9 @@
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -278,6 +280,62 @@ class TestSweepHops:
         last = proc.stderr.strip().splitlines()[-1]
         assert last.startswith("stresstune.core.StressTuneError:")
         assert 'if __name__ == "__main__":' in last
+
+    @pytest.mark.skipif(not Path(f"/proc/{os.getpid()}/task").is_dir(), reason="needs Linux /proc")
+    def test_workers_exit_when_the_sweep_is_killed(self, tmp_path):
+        # The parent dies without shutting the pool down; each worker must
+        # notice on its own and exit instead of waiting for its next task.
+        script = tmp_path / "long_sweep.py"
+        script.write_text(
+            "import numpy as np\n"
+            "from stresstune import Configuration, knn_graph, sweep_hops\n"
+            'if __name__ == "__main__":\n'
+            "    pts = np.random.default_rng(0).uniform(size=(800, 2))\n"
+            "    sweep_hops(knn_graph(Configuration(pts), 10), 2, [2, 3, 4, 5, 6], workers=2)\n"
+        )
+        src = str(Path(stresstune.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+                   OPENBLAS_NUM_THREADS="1")
+
+        def spawned_workers(pid):
+            found = []
+            for child in Path(f"/proc/{pid}/task/{pid}/children").read_text().split():
+                try:
+                    cmdline = Path(f"/proc/{child}/cmdline").read_bytes()
+                except FileNotFoundError:
+                    continue
+                if b"spawn_main" in cmdline:
+                    found.append(int(child))
+            return found
+
+        def running(pid):
+            try:  # a reparented worker that exited may linger as a zombie
+                return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0] != "Z"
+            except FileNotFoundError:
+                return False
+
+        proc = subprocess.Popen([sys.executable, str(script)], env=env, cwd=tmp_path)
+        workers = []
+        try:
+            deadline = time.monotonic() + 120
+            while len(workers) < 2:
+                assert proc.poll() is None, "the sweep ended before both workers started"
+                assert time.monotonic() < deadline, "the workers never started"
+                time.sleep(0.05)
+                workers = spawned_workers(proc.pid)
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=30) == -signal.SIGTERM
+            deadline = time.monotonic() + 30
+            while any(running(pid) for pid in workers) and time.monotonic() < deadline:
+                time.sleep(0.1)
+            assert not [pid for pid in workers if running(pid)]
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            for pid in workers:
+                if running(pid):
+                    os.kill(pid, signal.SIGKILL)
 
     def test_auto_workers_need_cores_hop_values_and_nodes(self, rng, monkeypatch):
         from stresstune import knn_graph, tune
