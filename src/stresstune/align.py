@@ -9,40 +9,41 @@ import numpy as np
 from .core import Configuration, DegenerateGeometryError, RigidMap
 
 
-def procrustes(
-    source: Configuration, target: Configuration, allow_reflection: bool = True
-) -> RigidMap:
-    """Best rigid map (orthogonal + translation) taking ``source`` onto ``target``.
+def _procrustes(S: np.ndarray, T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(Q, t)`` minimizing ``sum_i ||Q s_i + t - t_i||^2`` over orthogonal Q.
 
-    Solves ``min_Q,t sum_i ||Q s_i + t - t_i||^2`` via SVD of the centered
-    cross-covariance. With ``allow_reflection=False`` the orthogonal factor is
-    constrained to det +1 by flipping the smallest singular direction.
+    SVD of the centered cross-covariance; Q may reflect. Rows of the
+    ``(k, p)`` arrays ``S`` and ``T`` correspond.
     """
-    if source.n != target.n or source.p != target.p:
-        raise ValueError("source and target must have matching shapes")
-    S = source.points
-    T = target.points
     cs = S.mean(axis=0)
     ct = T.mean(axis=0)
     H = (T - ct).T @ (S - cs)
     U, _, Vt = np.linalg.svd(H)
     Q = U @ Vt
-    if not allow_reflection and np.linalg.det(Q) < 0:
-        flip = np.ones(source.p)
-        flip[-1] = -1.0
-        Q = U @ np.diag(flip) @ Vt
-    t = ct - Q @ cs
-    return RigidMap(Q=Q, t=t, allow_reflection=allow_reflection)
+    return Q, ct - Q @ cs
+
+
+def procrustes(source: Configuration, target: Configuration) -> RigidMap:
+    """Best rigid map (orthogonal + translation) taking ``source`` onto ``target``.
+
+    Solves ``min_Q,t sum_i ||Q s_i + t - t_i||^2`` via SVD of the centered
+    cross-covariance. Reflections are allowed, since distances cannot tell
+    a configuration from its mirror image.
+    """
+    if source.n != target.n or source.p != target.p:
+        raise ValueError("source and target must have matching shapes")
+    Q, t = _procrustes(source.points, target.points)
+    return RigidMap(Q=Q, t=t)
 
 
 def aligned_error(estimate: Configuration, truth: Configuration) -> float:
     """Minimum over rigid-plus-reflection maps of the summed squared discrepancy.
 
     ``min_T sum_i ||y_i - T x_i||^2`` with ``y`` the estimate and ``x`` the
-    ground truth; reflections are always allowed here so the metric is blind
-    to the mirror ambiguity of distance-only reconstruction.
+    ground truth; reflections are allowed, so the metric is blind to the
+    mirror ambiguity of distance-only reconstruction.
     """
-    fit = procrustes(truth, estimate, allow_reflection=True)
+    fit = procrustes(truth, estimate)
     resid = fit.apply(truth.points) - estimate.points
     return float(np.einsum("ij,ij->", resid, resid))
 

@@ -271,7 +271,7 @@ def cmd_align(args, parser) -> int:
     truth = read_configuration_csv(args.truth)
     report = alignment_report(estimate, truth)
     ratio = scale_ratio(estimate, truth)
-    fit = procrustes(estimate, truth, allow_reflection=True)
+    fit = procrustes(estimate, truth)
     aligned = fit.apply_configuration(estimate)
     _atomic_csv(out / "aligned.csv", lambda p: write_configuration_csv(aligned, p))
     _atomic_write(

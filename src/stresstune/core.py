@@ -116,15 +116,10 @@ class DenseSymmetricMatrix:
 
 @dataclass(frozen=True)
 class RigidMap:
-    """Orthogonal map plus translation, ``x -> Q x + t``.
-
-    ``allow_reflection`` records whether det(Q) = -1 was permitted when the
-    map was fitted; a reflecting Q with ``allow_reflection=False`` is invalid.
-    """
+    """Orthogonal map plus translation, ``x -> Q x + t``; Q may reflect."""
 
     Q: np.ndarray
     t: np.ndarray
-    allow_reflection: bool = True
 
     def __post_init__(self):
         Q = _frozen_array(self.Q)
@@ -139,13 +134,11 @@ class RigidMap:
         gap = np.abs(Q.T @ Q - np.eye(p)).max()
         if gap > ORTHOGONALITY_ATOL:
             raise ValueError(f"Q is not orthogonal within {ORTHOGONALITY_ATOL:g}")
-        if not self.allow_reflection and np.linalg.det(Q) < 0:
-            raise ValueError("Q reflects but reflections were not permitted")
         object.__setattr__(self, "Q", Q)
         object.__setattr__(self, "t", t)
 
     def __reduce__(self):
-        return (RigidMap, (self.Q, self.t, self.allow_reflection))
+        return (RigidMap, (self.Q, self.t))
 
     @property
     def p(self) -> int:
@@ -226,21 +219,25 @@ def top_eigenpairs(matrix: DenseSymmetricMatrix, p: int) -> tuple[np.ndarray, np
     return _top_eigenpairs_array(matrix.values, p)
 
 
-def pseudo_inverse(Y: np.ndarray, rcond: float = PINV_RCOND) -> np.ndarray:
+def pseudo_inverse(Y: np.ndarray) -> np.ndarray:
     """Moore-Penrose pseudo-inverse via SVD.
 
-    Singular values below ``rcond`` times the largest are treated as zero.
+    Singular values below ``PINV_RCOND`` times the largest are treated as zero.
     """
     A = np.asarray(Y, dtype=np.float64)
     if A.ndim != 2:
         raise ValueError("expected a 2-d array")
     if not np.isfinite(A).all():
         raise ValueError("entries must be finite")
-    return np.linalg.pinv(A, rcond=rcond)
+    return np.linalg.pinv(A, rcond=PINV_RCOND)
 
 
-def affine_rank(points: np.ndarray, rcond: float = PINV_RCOND) -> int:
-    """Dimension of the affine span of row points (singular values above cutoff)."""
+def affine_rank(points: np.ndarray) -> int:
+    """Dimension of the affine span of row points.
+
+    Counts the singular values of the centered points above ``PINV_RCOND``
+    times the largest.
+    """
     X = np.asarray(points, dtype=np.float64)
     if X.shape[0] == 0:
         return 0
@@ -248,7 +245,7 @@ def affine_rank(points: np.ndarray, rcond: float = PINV_RCOND) -> int:
     s = np.linalg.svd(centered, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.count_nonzero(s > rcond * s[0]))
+    return int(np.count_nonzero(s > PINV_RCOND * s[0]))
 
 
 def write_configuration_csv(config: Configuration, path: str | os.PathLike) -> None:

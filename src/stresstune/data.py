@@ -313,20 +313,18 @@ def load_cities(path: str | os.PathLike) -> CityTable:
     return CityTable(names=tuple(names), lat=np.array(lat), lon=np.array(lon))
 
 
-def haversine_matrix(cities: CityTable, radius_km: float = EARTH_RADIUS_KM) -> DenseSymmetricMatrix:
+def haversine_matrix(cities: CityTable) -> DenseSymmetricMatrix:
     """Great-circle distance matrix in kilometres via the haversine formula.
 
     ``2 R arcsin sqrt(sin^2(dlat/2) + cos(lat_i) cos(lat_j) sin^2(dlon/2))``
-    on a sphere of the given radius.
+    with ``R = EARTH_RADIUS_KM``.
     """
-    if radius_km <= 0:
-        raise ValueError("radius must be positive")
     phi = np.radians(cities.lat)
     lam = np.radians(cities.lon)
     sin_dphi = np.sin((phi[None, :] - phi[:, None]) / 2.0)
     sin_dlam = np.sin((lam[None, :] - lam[:, None]) / 2.0)
     cos_outer = np.cos(phi)[:, None] * np.cos(phi)[None, :]
     a = sin_dphi**2 + cos_outer * sin_dlam**2
-    D = 2.0 * radius_km * np.arcsin(np.sqrt(np.clip(a, 0.0, 1.0)))
+    D = 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.clip(a, 0.0, 1.0)))
     np.fill_diagonal(D, 0.0)
     return DenseSymmetricMatrix(D)

@@ -9,7 +9,6 @@ from scipy.sparse import coo_matrix, csc_matrix
 from scipy.sparse.linalg import splu
 
 from .core import (
-    PINV_RCOND,
     Configuration,
     DegenerateGeometryError,
     DenseSymmetricMatrix,
@@ -20,7 +19,7 @@ from .core import (
     affine_rank,
     pseudo_inverse,
 )
-from .graph import DissimilarityGraph, all_pairs_shortest_paths, is_connected
+from .graph import DissimilarityGraph, is_connected, shortest_paths_csr
 
 # Distances below this are treated as zero inside the majorization update.
 _SMACOF_DIST_FLOOR = 1e-12
@@ -74,7 +73,11 @@ def mds_d(g: DissimilarityGraph, p: int) -> Configuration:
     """Classical scaling after shortest-path completion of the missing pairs."""
     if not is_connected(g):
         raise DisconnectedGraphError("graph must be connected for shortest-path completion")
-    return classical_scaling(all_pairs_shortest_paths(g), p)
+    if not 1 <= p <= g.n:
+        raise ValueError(f"p must be in [1, {g.n}]")
+    # The completion of a connected graph is finite, nonnegative, exactly
+    # symmetric and zero on the diagonal, so classical_scaling's checks are moot.
+    return Configuration(_classical_scaling_array(shortest_paths_csr(g._adj_csr()), p))
 
 
 def _grounded_laplacian(n: int, ei: np.ndarray, ej: np.ndarray) -> csc_matrix:
@@ -187,6 +190,19 @@ def smacof_refine(
     return result
 
 
+def _trilaterate(Y: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Least-squares position from distances ``d`` to the ``(m, p)`` landmark rows ``Y``."""
+    m, p = Y.shape
+    if affine_rank(Y) < p:
+        raise DegenerateGeometryError("landmarks are affinely degenerate")
+    c = Y.mean(axis=0)
+    Yc = Y - c
+    sq = np.einsum("ij,ij->i", Yc, Yc)
+    a = (sq.sum() + m * sq) / m - 2.0 * (Yc @ Yc.sum(axis=0)) / m
+    # a_j = mean_i ||y_i - y_j||^2, expanded to avoid an m x m intermediate
+    return 0.5 * (pseudo_inverse(Yc) @ (a - d * d)) + c
+
+
 def trilaterate(landmarks: Configuration, dissimilarities) -> np.ndarray:
     """Place one point from squared distances to ``m >= p+1`` fixed landmarks.
 
@@ -195,19 +211,11 @@ def trilaterate(landmarks: Configuration, dissimilarities) -> np.ndarray:
     realizable; least-squares otherwise.
     """
     d = np.asarray(dissimilarities, dtype=np.float64).reshape(-1)
-    Y = landmarks.points
-    m, p = Y.shape
+    m, p = landmarks.points.shape
     if d.shape[0] != m:
         raise ValueError("need one dissimilarity per landmark")
     if m < p + 1:
         raise ValueError(f"need at least p+1={p + 1} landmarks, got {m}")
     if not np.isfinite(d).all() or (d < 0).any():
         raise ValueError("dissimilarities must be finite and nonnegative")
-    if affine_rank(Y, rcond=PINV_RCOND) < p:
-        raise DegenerateGeometryError("landmarks are affinely degenerate")
-    c = Y.mean(axis=0)
-    Yc = Y - c
-    sq = np.einsum("ij,ij->i", Yc, Yc)
-    a = (sq.sum() + m * sq) / m - 2.0 * (Yc @ Yc.sum(axis=0)) / m
-    # a_j = mean_i ||y_i - y_j||^2, expanded to avoid an m x m intermediate
-    return 0.5 * (pseudo_inverse(Yc) @ (a - d * d)) + c
+    return _trilaterate(landmarks.points, d)

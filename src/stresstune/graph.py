@@ -281,7 +281,8 @@ def connected_components(g: DissimilarityGraph) -> list[list[int]]:
 
 
 def is_connected(g: DissimilarityGraph) -> bool:
-    return len(connected_components(g)) == 1
+    count, _ = _csgraph_components(g._adj_csr(), directed=False)
+    return count == 1
 
 
 def induced_subgraph_csr(g: DissimilarityGraph, members: np.ndarray) -> csr_matrix:

@@ -21,7 +21,7 @@ from .core import (
     DenseSymmetricMatrix,
     StressTuneError,
 )
-from .embed import classical_scaling, trilaterate
+from .embed import _trilaterate, classical_scaling
 from .graph import DissimilarityGraph
 
 DEFAULT_SEED_CLIQUE_CAP = 10_000
@@ -198,7 +198,7 @@ def sequential_trilateration(
                 f"node {v} has only {landmarks.size} placed neighbors; ordering is invalid"
             )
         try:
-            coords[v] = trilaterate(Configuration(coords[landmarks]), w[mask])
+            coords[v] = _trilaterate(coords[landmarks], w[mask])
         except DegenerateGeometryError as exc:
             raise DegenerateGeometryError(f"degenerate landmarks at node {v}: {exc}") from exc
         placed[v] = True

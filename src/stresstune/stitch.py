@@ -16,9 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .align import procrustes
+from .align import _procrustes
 from .core import (
-    PINV_RCOND,
     Configuration,
     DisconnectedGraphError,
     StressTuneError,
@@ -51,35 +50,29 @@ class MergeError(StressTuneError):
 
 @dataclass(frozen=True)
 class GlobalMap:
-    """A stitched placement: node coordinates, placed flags and the merge log.
+    """A stitched placement: the coordinates of every node and the merge log.
 
     ``merge_log`` holds ``(patch_center, overlap_size)`` pairs in merge order;
     the seed patch is logged with overlap 0.
     """
 
     coords: np.ndarray
-    placed: np.ndarray
     merge_log: tuple[tuple[int, int], ...] = field(default_factory=tuple)
 
     def __post_init__(self):
         coords = np.array(self.coords, dtype=np.float64, copy=True)
-        placed = np.array(self.placed, dtype=bool, copy=True)
-        if coords.ndim != 2 or placed.shape != (coords.shape[0],):
-            raise ValueError("coords must be (n, p) with one placed flag per node")
-        if not np.isfinite(coords[placed]).all():
-            raise ValueError("placed coordinates must be finite")
+        if coords.ndim != 2:
+            raise ValueError("coords must be an (n, p) array")
+        if not np.isfinite(coords).all():
+            raise ValueError("coordinates must be finite")
         coords.setflags(write=False)
-        placed.setflags(write=False)
         object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "placed", placed)
         object.__setattr__(self, "merge_log", tuple(self.merge_log))
 
     def __reduce__(self):
-        return (GlobalMap, (self.coords, self.placed, self.merge_log))
+        return (GlobalMap, (self.coords, self.merge_log))
 
     def as_configuration(self) -> Configuration:
-        if not self.placed.all():
-            raise StressTuneError("global map is incomplete")
         return Configuration(self.coords)
 
 
@@ -122,7 +115,7 @@ def _check_overlap(
             f"patch at node {center} overlaps only {overlap.size} placed nodes; "
             f"need at least {p + 1} (try a larger neighborhood h)"
         )
-    if affine_rank(coords[overlap], rcond=PINV_RCOND) < p:
+    if affine_rank(coords[overlap]) < p:
         raise MergeError(
             f"placed overlap of patch at node {center} is affinely degenerate "
             f"(try a larger neighborhood h)"
@@ -141,13 +134,9 @@ def merge(
     """
     overlap = _check_overlap(coords, placed, members, center)
     old = placed[members]
-    fit = procrustes(
-        Configuration(local[old]),
-        Configuration(coords[overlap]),
-        allow_reflection=True,
-    )
+    Q, t = _procrustes(local[old], coords[overlap])
     new = members[~old]
-    coords[new] = fit.apply(local[~old])
+    coords[new] = local[~old] @ Q.T + t
     placed[new] = True
 
 
@@ -256,5 +245,5 @@ def mds_map_p(
     if final_refine:
         result = smacof_refine(g, result)
     if return_global_map:
-        return result, GlobalMap(coords=coords, placed=placed, merge_log=log)
+        return result, GlobalMap(coords=coords, merge_log=log)
     return result

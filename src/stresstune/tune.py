@@ -12,7 +12,7 @@ import io
 import json
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -90,6 +90,15 @@ class SweepRow:
             raise ValueError("successful rows must carry stress values")
 
 
+# Columns of the JSON and CSV forms of a sweep, in SweepRow field order.
+_COLUMNS = tuple(f.name for f in fields(SweepRow))
+
+
+def _stress_argmin(rows) -> int:
+    """The h of the lowest-stress successful row, ties toward the smaller h."""
+    return min((r for r in rows if not r.failed), key=lambda r: (r.stress, r.h)).h
+
+
 @dataclass(frozen=True)
 class SweepReport:
     """Sweep rows (ascending h) plus the stress-minimizing selection."""
@@ -102,11 +111,9 @@ class SweepReport:
         hs = [r.h for r in rows]
         if hs != sorted(set(hs)):
             raise ValueError("rows must be sorted by h without duplicates")
-        ok = [r for r in rows if not r.failed]
-        if not ok:
+        if all(r.failed for r in rows):
             raise ValueError("a report needs at least one successful row")
-        best = min(ok, key=lambda r: (r.stress, r.h))
-        if best.h != self.selected_h:
+        if _stress_argmin(rows) != self.selected_h:
             raise ValueError("selected_h must be the stress argmin (ties toward smaller h)")
         object.__setattr__(self, "rows", rows)
 
@@ -120,6 +127,13 @@ class SweepReport:
     def selected_row(self) -> SweepRow:
         return self.row(self.selected_h)
 
+    def _records(self, include_timing: bool):
+        for r in self.rows:
+            record = {name: getattr(r, name) for name in _COLUMNS}
+            if not include_timing:
+                record["wall_time_s"] = None
+            yield record
+
     def to_json(self, include_timing: bool = False) -> str:
         """Serialize to the stable JSON schema.
 
@@ -127,45 +141,24 @@ class SweepReport:
         ``include_timing`` is set; reruns of a seeded pipeline then produce
         byte-identical output.
         """
-        rows = []
-        for r in self.rows:
-            rows.append(
-                {
-                    "h": r.h,
-                    "stress": r.stress,
-                    "stress_per_edge": r.stress_per_edge,
-                    "embedding_error": r.embedding_error,
-                    "scale_ratio": r.scale_ratio,
-                    "wall_time_s": r.wall_time_s if include_timing else None,
-                    "failed": r.failed,
-                }
-            )
+        rows = list(self._records(include_timing))
         return json.dumps({"rows": rows, "selected_h": self.selected_h}, indent=2) + "\n"
 
     def to_csv(self, include_timing: bool = False) -> str:
         """CSV with the same columns and null policy as the JSON form."""
         buf = io.StringIO()
         writer = csv.writer(buf)
-        writer.writerow(
-            ["h", "stress", "stress_per_edge", "embedding_error", "scale_ratio",
-             "wall_time_s", "failed"]
-        )
+        writer.writerow(_COLUMNS)
 
-        def fmt(x):
+        def fmt(name, x):
+            if name == "h":
+                return x
+            if name == "failed":
+                return "true" if x else "false"
             return "" if x is None else repr(float(x))
 
-        for r in self.rows:
-            writer.writerow(
-                [
-                    r.h,
-                    fmt(r.stress),
-                    fmt(r.stress_per_edge),
-                    fmt(r.embedding_error),
-                    fmt(r.scale_ratio),
-                    fmt(r.wall_time_s if include_timing else None),
-                    "true" if r.failed else "false",
-                ]
-            )
+        for record in self._records(include_timing):
+            writer.writerow([fmt(name, x) for name, x in record.items()])
         return buf.getvalue()
 
 
@@ -329,8 +322,6 @@ def sweep_hops(
         rows.append(row)
         if embeddings is not None and config is not None:
             embeddings[h] = config
-    ok = [r for r in rows if not r.failed]
-    if not ok:
+    if all(r.failed for r in rows):
         raise StressTuneError(f"every swept hop value failed: {hs}")
-    selected = min(ok, key=lambda r: (r.stress, r.h)).h
-    return SweepReport(rows=tuple(rows), selected_h=selected)
+    return SweepReport(rows=tuple(rows), selected_h=_stress_argmin(rows))

@@ -3,7 +3,9 @@
 Everything here is deliberately written the slow, obvious way (double loops,
 heapq Dijkstra, union-find, quadrature) with no imports from ``stresstune``'s
 internals beyond plain data, so a bug in the package cannot hide in its own
-oracle.
+oracle. The exceptions replay an inner loop through the validated public
+API that the loop bypasses (``procrustes`` with ``RigidMap.apply``, one
+``trilaterate`` per node), so the array kernels can be compared bit for bit.
 """
 
 from __future__ import annotations
@@ -13,6 +15,14 @@ import math
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+
+from stresstune import (
+    Configuration,
+    DenseSymmetricMatrix,
+    classical_scaling,
+    procrustes,
+    trilaterate,
+)
 
 
 def sq_dist_double_loop(points: np.ndarray) -> np.ndarray:
@@ -102,6 +112,33 @@ def merge_plan_loop(n: int, edges, h: int, p: int):
         placed |= balls[best]
         merged.add(best)
     return log
+
+
+def merge_public(coords: np.ndarray, placed: np.ndarray, members: np.ndarray, local: np.ndarray):
+    """``stitch.merge``'s placement, in place, via ``procrustes`` and ``RigidMap.apply``.
+
+    The fit runs on two validated Configurations; the overlap is not checked.
+    """
+    old = placed[members]
+    fit = procrustes(Configuration(local[old]), Configuration(coords[members[old]]))
+    coords[members[~old]] = fit.apply(local[~old])
+    placed[members] = True
+
+
+def sequential_trilateration_loop(g, order, p: int) -> np.ndarray:
+    """Classical scaling of the seed clique, then one public ``trilaterate`` per later node."""
+    seed = list(order[: p + 1])
+    D = np.array([[0.0 if a == b else g.edge_weight(a, b) for b in seed] for a in seed])
+    coords = np.zeros((g.n, p))
+    placed = np.zeros(g.n, dtype=bool)
+    coords[seed] = classical_scaling(DenseSymmetricMatrix(D), p).points
+    placed[seed] = True
+    for v in order[p + 1 :]:
+        nbrs, w = g.neighbors(v)
+        mask = placed[nbrs]
+        coords[v] = trilaterate(Configuration(coords[nbrs[mask]]), w[mask])
+        placed[v] = True
+    return coords
 
 
 def union_find_components(n: int, edges) -> list[list[int]]:

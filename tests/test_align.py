@@ -21,7 +21,7 @@ def residual(fit, source, target):
 class TestProcrustes:
     def test_identity(self, rng):
         cfg = Configuration(rng.standard_normal((6, 2)))
-        fit = procrustes(cfg, cfg, allow_reflection=True)
+        fit = procrustes(cfg, cfg)
         np.testing.assert_allclose(fit.Q, np.eye(2), atol=1e-12)
         np.testing.assert_allclose(fit.t, 0.0, atol=1e-12)
         assert residual(fit, cfg, cfg) < 1e-20
@@ -31,7 +31,7 @@ class TestProcrustes:
         Q = rotation(np.pi / 2)
         t = np.array([3.0, -1.0])
         dst = Configuration(src.points @ Q.T + t)
-        fit = procrustes(src, dst, allow_reflection=True)
+        fit = procrustes(src, dst)
         np.testing.assert_allclose(fit.Q, Q, atol=1e-10)
         np.testing.assert_allclose(fit.t, t, atol=1e-10)
         assert residual(fit, src, dst) <= 1e-10
@@ -39,21 +39,9 @@ class TestProcrustes:
     def test_reflection_handling(self, rng):
         src = Configuration(rng.standard_normal((8, 2)))
         mirrored = Configuration(src.points * np.array([1.0, -1.0]))
-        free = procrustes(src, mirrored, allow_reflection=True)
+        free = procrustes(src, mirrored)
         assert residual(free, src, mirrored) <= 1e-10
         assert np.linalg.det(free.Q) < 0
-        strict = procrustes(src, mirrored, allow_reflection=False)
-        assert np.linalg.det(strict.Q) > 0
-        assert residual(strict, src, mirrored) > 1e-6
-        assert strict.allow_reflection is False
-
-    def test_reflective_residual_never_larger(self, rng):
-        for _ in range(5):
-            a = Configuration(rng.standard_normal((6, 3)))
-            b = Configuration(rng.standard_normal((6, 3)))
-            free = residual(procrustes(a, b, allow_reflection=True), a, b)
-            strict = residual(procrustes(a, b, allow_reflection=False), a, b)
-            assert free <= strict + 1e-12
 
     def test_shape_mismatch(self, rng):
         a = Configuration(rng.standard_normal((5, 2)))

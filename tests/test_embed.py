@@ -12,9 +12,12 @@ from stresstune import (
     RigidMap,
     StressTuneError,
     aligned_error,
+    all_pairs_shortest_paths,
+    apply_multiplicative_noise,
     classical_scaling,
     diameter,
     double_center,
+    knn_graph,
     mds_d,
     pairwise_sq_distances,
     smacof_refine,
@@ -111,6 +114,12 @@ class TestMdsD:
         D[g.ei, g.ej] = g.weights
         direct = classical_scaling(DenseSymmetricMatrix(D + D.T), 2)
         np.testing.assert_array_equal(via_graph.points, direct.points)
+
+    def test_matches_classical_scaling_of_the_completion(self, rng):
+        pts = rng.uniform(size=(200, 2))
+        g = apply_multiplicative_noise(knn_graph(Configuration(pts), 6), 0.1, seed=4)
+        want = classical_scaling(all_pairs_shortest_paths(g), 2)
+        np.testing.assert_array_equal(mds_d(g, 2).points, want.points)
 
     def test_path_graph_completion(self):
         g = DissimilarityGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])

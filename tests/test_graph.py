@@ -2,7 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 import oracles
@@ -275,6 +275,15 @@ def small_graphs(draw):
     ei = np.array([a for a, _ in edges], dtype=np.int64)
     ej = np.array([b for _, b in edges], dtype=np.int64)
     return DissimilarityGraph(n, (ei, ej, np.ones(len(edges))))
+
+
+class TestIsConnected:
+    @settings(max_examples=150, deadline=None)
+    @given(g=small_graphs())
+    @example(g=DissimilarityGraph(1, []))
+    @example(g=DissimilarityGraph(5, [(0, 1, 1.0), (1, 2, 1.0)]))
+    def test_agrees_with_component_count(self, g):
+        assert is_connected(g) == (len(connected_components(g)) == 1)
 
 
 class TestHopBalls:

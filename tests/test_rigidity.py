@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from conftest import rotation
 from stresstune import (
     Configuration,
@@ -136,6 +137,15 @@ class TestSequentialTrilateration:
             errors[delta] = float(np.median(per_seed) * (((2 * delta + delta**2) * g.weights**2) ** 2).sum())
         assert errors[0.04] > errors[0.01]
         assert ratios[0.04] < 3 * ratios[0.01] and ratios[0.01] < 3 * ratios[0.04]
+
+    def test_matches_per_node_public_trilaterate(self):
+        cfg, g = self.rgg(seed=7)
+        noisy = apply_multiplicative_noise(g, 0.05, seed=3)
+        ordering = find_trilaterative_ordering(noisy, 2)
+        assert ordering is not None
+        out = sequential_trilateration(noisy, ordering, 2)
+        want = oracles.sequential_trilateration_loop(noisy, ordering.order, 2)
+        np.testing.assert_array_equal(out.points, want)
 
     def test_seed_clique_only_reduces_to_classical_scaling(self, rng):
         pts = rng.uniform(size=(3, 2))

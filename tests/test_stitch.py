@@ -4,6 +4,7 @@ from hypothesis import assume, event, given, settings
 from hypothesis import strategies as hst
 
 import oracles
+import stresstune.stitch as stitch_module
 from conftest import rotation
 from stresstune import (
     Configuration,
@@ -157,6 +158,23 @@ class TestMerge:
         local = _embed_members(g, ball(g, 0, 1), 0, 2, refine=False)
         with pytest.raises(MergeError, match="larger neighborhood"):
             merge(coords, placed, ball(g, 0, 1), local, 0)
+
+    def test_matches_public_procrustes_path(self, monkeypatch):
+        # Every merge of a stitch, replayed through procrustes on validated
+        # Configurations and RigidMap.apply, places the same bits.
+        _, g = knn_instance(300, 8, 0.1, seed=3)
+        _, got = mds_map_p(g, 2, 2, final_refine=False, return_global_map=True)
+        merged = []
+
+        def public_merge(coords, placed, members, local, center):
+            merged.append(center)
+            oracles.merge_public(coords, placed, members, local)
+
+        monkeypatch.setattr(stitch_module, "merge", public_merge)
+        _, want = mds_map_p(g, 2, 2, final_refine=False, return_global_map=True)
+        assert len(merged) > 10
+        np.testing.assert_array_equal(got.coords, want.coords)
+        assert got.merge_log == want.merge_log
 
     def test_degenerate_overlap_refused(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [1.0, 1.0]])
@@ -317,11 +335,6 @@ class TestMergePlan:
 
 
 class TestGlobalMap:
-    def test_incomplete_map_refuses_configuration(self):
-        gm = GlobalMap(coords=np.full((3, 2), np.nan), placed=np.zeros(3, dtype=bool))
-        with pytest.raises(Exception):
-            gm.as_configuration()
-
     def test_placed_coords_must_be_finite(self):
         with pytest.raises(ValueError):
-            GlobalMap(coords=np.full((2, 2), np.nan), placed=np.array([True, False]))
+            GlobalMap(coords=np.array([[0.0, 0.0], [np.nan, np.nan]]))

@@ -277,7 +277,12 @@ class TestSweepHops:
         proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
                               timeout=120, env=env, cwd=tmp_path)
         assert proc.returncode != 0
-        last = proc.stderr.strip().splitlines()[-1]
+        lines = proc.stderr.strip().splitlines()
+        # When the pool breaks, the resource tracker may warn about semaphores
+        # leaked by the terminated workers after the traceback.
+        while lines and "resource_tracker" in lines[-1]:
+            lines.pop()
+        last = lines[-1]
         assert last.startswith("stresstune.core.StressTuneError:")
         assert 'if __name__ == "__main__":' in last
 
