@@ -19,7 +19,7 @@ from .core import (
     affine_rank,
     pseudo_inverse,
 )
-from .graph import DissimilarityGraph, is_connected, shortest_paths_csr
+from .graph import DissimilarityGraph, _dijkstra_csr, is_connected
 
 # Distances below this are treated as zero inside the majorization update.
 _SMACOF_DIST_FLOOR = 1e-12
@@ -32,7 +32,10 @@ def _classical_scaling_array(D: np.ndarray, p: int) -> np.ndarray:
     A = -0.5 * D * D
     B = _double_center_array(A)
     vals, vecs = _top_eigenpairs_array(B, p)
-    Y = vecs * np.sqrt(np.clip(vals, 0.0, None))
+    # Canonical signs: each eigenvector's largest-magnitude entry (the first
+    # on ties) is positive, whichever solver ran.
+    peak = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(p)]
+    Y = vecs * np.where(peak < 0, -1.0, 1.0) * np.sqrt(np.clip(vals, 0.0, None))
     return Y - Y.mean(axis=0)
 
 
@@ -41,7 +44,9 @@ def classical_scaling(D: DenseSymmetricMatrix, p: int) -> Configuration:
 
     Squares the entries, double-centers, takes the top ``p`` eigenpairs and
     scales eigenvectors by the square roots of the eigenvalues, clamping
-    negative eigenvalues to zero. The output is centered at the origin.
+    negative eigenvalues to zero. Each eigenvector's sign is fixed so that its
+    largest-magnitude entry (the first on ties) is positive. The output is
+    centered at the origin.
     """
     V = D.values
     if np.isinf(V).any():
@@ -77,7 +82,7 @@ def mds_d(g: DissimilarityGraph, p: int) -> Configuration:
         raise ValueError(f"p must be in [1, {g.n}]")
     # The completion of a connected graph is finite, nonnegative, exactly
     # symmetric and zero on the diagonal, so classical_scaling's checks are moot.
-    return Configuration(_classical_scaling_array(shortest_paths_csr(g._adj_csr()), p))
+    return Configuration(_classical_scaling_array(_dijkstra_csr(g._adj_csr()), p))
 
 
 def _grounded_laplacian(n: int, ei: np.ndarray, ej: np.ndarray) -> csc_matrix:

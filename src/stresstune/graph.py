@@ -20,7 +20,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse import triu as sparse_triu
 from scipy.sparse.csgraph import connected_components as _csgraph_components
 from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
-from scipy.sparse.csgraph import shortest_path as _csgraph_shortest_path
+from scipy.sparse.csgraph import floyd_warshall as _csgraph_floyd_warshall
 from scipy.spatial import cKDTree
 
 from .core import (
@@ -33,6 +33,13 @@ from .core import (
 # Sources per truncated BFS in hop_balls; each block holds a block x n
 # distance array only while its ball rows are extracted.
 _HOP_BALL_BLOCK = 256
+
+# Order up to which shortest_paths_csr runs scipy's Floyd-Warshall instead of
+# per-source Dijkstra. Measured on the benchmark's patches (2-vCPU host, one
+# BLAS thread), ms per patch, Dijkstra vs Floyd-Warshall: 15-NN patches
+# m~120 2.4 vs 1.2, m~250 13.1 vs 10.6, m~350 22.3 vs 23.6; radius-graph
+# patches m~190 4.8 vs 3.9, m~210 9.0 vs 9.6, m~900+ 216 vs 746.
+_FLOYD_WARSHALL_MAX_ORDER = 200
 
 
 class DissimilarityGraph:
@@ -260,7 +267,7 @@ def all_pairs_shortest_paths(
     additively exact weights (e.g. integers) the two agree bit for bit.
     """
     if method == "dijkstra":
-        D = shortest_paths_csr(g._adj_csr())
+        D = _dijkstra_csr(g._adj_csr())
     elif method == "floyd-warshall":
         D = _floyd_warshall_dense(g.n, g.ei, g.ej, g.weights)
     else:
@@ -302,10 +309,27 @@ def subgraph_edges(sub: csr_matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     )
 
 
-def shortest_paths_csr(sub: csr_matrix) -> np.ndarray:
-    """Per-source Dijkstra on a CSR adjacency, symmetrized by the smaller of the two values."""
-    D = _csgraph_shortest_path(sub, method="D", directed=False)
+def _dijkstra_csr(adj: csr_matrix) -> np.ndarray:
+    """Per-source Dijkstra on a symmetric CSR adjacency, symmetrized by the smaller of the two values.
+
+    Every edge is stored in both directions, so a directed traversal sees the
+    undirected graph without scipy building the transpose.
+    """
+    D = _csgraph_dijkstra(adj, directed=True)
     return np.minimum(D, D.T)
+
+
+def shortest_paths_csr(sub: csr_matrix) -> np.ndarray:
+    """All-pairs shortest paths of a symmetric CSR adjacency, the solver picked by order.
+
+    Up to ``_FLOYD_WARSHALL_MAX_ORDER`` nodes scipy's Floyd-Warshall, whose
+    output is exactly symmetric; above it per-source Dijkstra. Both treat a
+    stored zero as an edge and mark unreachable pairs ``+inf``; on additively
+    exact weights (e.g. integers) they agree bit for bit.
+    """
+    if sub.shape[0] <= _FLOYD_WARSHALL_MAX_ORDER:
+        return _csgraph_floyd_warshall(sub, directed=False)
+    return _dijkstra_csr(sub)
 
 
 def write_edge_csv(g: DissimilarityGraph, path: str | os.PathLike) -> None:

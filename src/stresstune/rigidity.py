@@ -20,8 +20,9 @@ from .core import (
     DegenerateGeometryError,
     DenseSymmetricMatrix,
     StressTuneError,
+    affine_rank,
 )
-from .embed import _trilaterate, classical_scaling
+from .embed import _classical_scaling_array, _trilaterate, classical_scaling
 from .graph import DissimilarityGraph
 
 DEFAULT_SEED_CLIQUE_CAP = 10_000
@@ -123,16 +124,29 @@ def _greedy_closure(g: DissimilarityGraph, seed: tuple[int, ...], p: int) -> lis
     return order if len(order) == n else None
 
 
+def _seed_dissimilarities(g: DissimilarityGraph, seed: tuple[int, ...]) -> np.ndarray:
+    """Dissimilarity matrix of a seed clique; KeyError if an edge is missing."""
+    k = len(seed)
+    D = np.zeros((k, k))
+    for a in range(k):
+        for b in range(a + 1, k):
+            D[a, b] = D[b, a] = g.edge_weight(seed[a], seed[b])
+    return D
+
+
 def find_trilaterative_ordering(
     g: DissimilarityGraph, p: int, max_seed_cliques: int = DEFAULT_SEED_CLIQUE_CAP
 ) -> TrilaterativeOrdering | None:
     """Search for a trilaterative ordering by greedy closure over seed cliques.
 
-    Seed ``p+1``-cliques are enumerated lexicographically; each is grown by
-    the monotone closure rule until it either covers the graph (success) or
-    stalls. Returns None when no enumerated seed closes; hitting the
-    enumeration cap additionally emits a warning, since a valid ordering may
-    exist beyond it.
+    Seed ``p+1``-cliques are enumerated lexicographically. A seed whose own
+    dissimilarities embed at affine rank below ``p`` (e.g. noisy distances
+    that violate the triangle inequality, which classical scaling puts on a
+    line) is skipped, since nothing can be trilaterated from it. Each other
+    seed is grown by the monotone closure rule until it either covers the
+    graph (success) or stalls. Returns None when no enumerated seed closes;
+    hitting the enumeration cap additionally emits a warning, since a valid
+    ordering may exist beyond it.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
@@ -152,6 +166,8 @@ def find_trilaterative_ordering(
             )
             return None
         tried += 1
+        if affine_rank(_classical_scaling_array(_seed_dissimilarities(g, seed), p)) < p:
+            continue
         order = _greedy_closure(g, seed, p)
         if order is not None:
             return TrilaterativeOrdering(p=p, order=tuple(order))
@@ -174,16 +190,10 @@ def sequential_trilateration(
         raise ValueError("ordering must cover every node")
     seed = ordering.seed_clique
     k = len(seed)
-    D = np.zeros((k, k))
-    for a in range(k):
-        for b in range(a + 1, k):
-            try:
-                D[a, b] = D[b, a] = g.edge_weight(seed[a], seed[b])
-            except KeyError as exc:
-                raise StressTuneError(
-                    f"seed clique is missing the dissimilarity between "
-                    f"{seed[a]} and {seed[b]}"
-                ) from exc
+    try:
+        D = _seed_dissimilarities(g, seed)
+    except KeyError as exc:
+        raise StressTuneError(f"seed clique is missing a dissimilarity: {exc.args[0]}") from exc
     coords = np.zeros((g.n, p))
     placed = np.zeros(g.n, dtype=bool)
     seed_idx = np.array(seed, dtype=np.int64)

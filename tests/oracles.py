@@ -15,6 +15,7 @@ import math
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+from scipy.sparse.csgraph import shortest_path
 
 from stresstune import (
     Configuration,
@@ -56,6 +57,22 @@ def dijkstra_all_pairs(n: int, edges) -> np.ndarray:
                     heapq.heappush(heap, (nd, v))
         D[s] = dist
     return D
+
+
+def completion_dijkstra(sub) -> np.ndarray:
+    """Undirected per-source Dijkstra on a CSR adjacency, symmetrized by the smaller value.
+
+    The completion every patch got before the solver was picked by order.
+    """
+    D = shortest_path(sub, method="D", directed=False)
+    return np.minimum(D, D.T)
+
+
+def top_eigenpairs_dense(B: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Largest ``p`` eigenpairs (descending) from a full dense ``eigh``."""
+    vals, vecs = np.linalg.eigh(B)
+    order = np.argsort(vals)[::-1][:p]
+    return vals[order], vecs[:, order]
 
 
 def bfs_hops(n: int, edges, source: int) -> list[float]:

@@ -176,6 +176,17 @@ class TestEmbedAndAlign:
                         "--out", out, *extra]) == 0
             assert (out / "embedding.csv").exists()
 
+    def test_seqtrilat_on_readme_data(self, tmp_path):
+        # The README's step-1 data; its first seed clique violates the
+        # triangle inequality, so the ordering search must skip it.
+        data, out = tmp_path / "data", tmp_path / "emb"
+        assert run(["generate", "--shape", "hollow", "--n", 1200, "--k", 15,
+                    "--sigma", 0.15, "--seed", 0, "--out", data]) == 0
+        assert run(["embed", "--method", "seqtrilat", "--graph", data / "graph.csv",
+                    "--out", out]) == 0
+        emb = read_configuration_csv(out / "embedding.csv")
+        assert emb.n == read_configuration_csv(data / "config.csv").n
+
     def test_isomap_local_requires_points(self, tmp_path, rng):
         self.make_instance(tmp_path, rng)
         with pytest.raises(SystemExit) as exc:

@@ -2,8 +2,12 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
+from scipy.sparse.linalg import ArpackNoConvergence
 
 import oracles
+import stresstune.core as core_module
 from stresstune import (
     CityTable,
     Configuration,
@@ -19,7 +23,8 @@ from stresstune import (
     top_eigenpairs,
     write_configuration_csv,
 )
-from stresstune.core import EigenSolverError, _EIGH_SUBSET_MIN_ORDER
+from stresstune.core import EigenSolverError, _DENSE_EIGH_MAX_ORDER, _top_eigenpairs_array
+from stresstune.embed import _classical_scaling_array
 
 
 class TestConfiguration:
@@ -174,7 +179,7 @@ class TestTopEigenpairs:
         assert vals[0] >= vals[1] >= vals[2]
 
     def test_large_order_path_matches_full_solver(self, rng):
-        n = _EIGH_SUBSET_MIN_ORDER + 8
+        n = _DENSE_EIGH_MAX_ORDER + 8
         m = rng.standard_normal((n, n))
         B = (m + m.T) / 2
         vals, vecs = top_eigenpairs(DenseSymmetricMatrix(B), 2)
@@ -188,6 +193,81 @@ class TestTopEigenpairs:
             top_eigenpairs(DenseSymmetricMatrix(np.eye(3)), 4)
         with pytest.raises(ValueError):
             top_eigenpairs(DenseSymmetricMatrix(np.eye(3)), 0)
+
+
+def canonical_signs(vecs: np.ndarray) -> np.ndarray:
+    """Flip each column so its largest-magnitude entry (the first on ties) is positive."""
+    out = vecs.copy()
+    for c in range(out.shape[1]):
+        col = out[:, c]
+        peak = max(range(col.size), key=lambda i: (abs(col[i]), -i))
+        if col[peak] < 0:
+            out[:, c] = -col
+    return out
+
+
+class TestEigenpairDispatch:
+    """Dense and Lanczos eigenpairs against a full dense ``eigh`` on both sides of the order switch."""
+
+    T = _DENSE_EIGH_MAX_ORDER
+
+    @staticmethod
+    def noisy_distances(seed: int, k: int, p: int) -> np.ndarray:
+        # Anisotropic points (axis scales 1, 1/2, 1/4) keep the top p
+        # eigenvalues apart; 1% multiplicative noise keeps the rest small.
+        r = np.random.default_rng(seed)
+        X = r.standard_normal((k, p)) * 0.5 ** np.arange(p)
+        D = np.linalg.norm(X[:, None] - X[None], axis=2)
+        noise = 1.0 + 0.01 * r.standard_normal((k, k))
+        D = D * (noise + noise.T) / 2
+        np.fill_diagonal(D, 0.0)
+        return D
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=hst.integers(0, 2**32 - 1), k=hst.sampled_from([T - 1, T, T + 1]), p=hst.integers(1, 3))
+    def test_matches_dense_oracle(self, seed, k, p):
+        D = self.noisy_distances(seed, k, p)
+        B = double_center(DenseSymmetricMatrix(-0.5 * D * D)).values
+        vals, vecs = _top_eigenpairs_array(B, p)
+        want_vals, want_vecs = oracles.top_eigenpairs_dense(B, p)
+        np.testing.assert_allclose(vals, want_vals, rtol=1e-10)
+        for c in range(p):
+            np.testing.assert_allclose(
+                np.outer(vecs[:, c], vecs[:, c]), np.outer(want_vecs[:, c], want_vecs[:, c]), atol=1e-8
+            )
+        # Classical scaling fixes the signs, so its output matches the oracle's
+        # canonically signed eigenvectors whichever solver ran.
+        Y = _classical_scaling_array(D, p)
+        want = canonical_signs(want_vecs) * np.sqrt(want_vals)
+        np.testing.assert_allclose(Y, want - want.mean(axis=0), atol=1e-8 * np.abs(want).max())
+
+    def test_lanczos_start_is_fixed(self):
+        # ARPACK's default random start advances with every call in the
+        # process, which would make the last bits depend on earlier solves.
+        D = self.noisy_distances(3, self.T + 40, 2)
+        B = double_center(DenseSymmetricMatrix(-0.5 * D * D)).values
+        first = _top_eigenpairs_array(B, 2)
+        _top_eigenpairs_array(B[:-5, :-5], 2)
+        second = _top_eigenpairs_array(B, 2)
+        np.testing.assert_array_equal(first[0], second[0])
+        np.testing.assert_array_equal(first[1], second[1])
+
+    def test_lanczos_no_convergence_is_eigensolver_error(self, monkeypatch):
+        def stalled(*args, **kwargs):
+            raise ArpackNoConvergence("ARPACK error -1: No convergence", np.zeros(0), np.zeros((0, 0)))
+
+        monkeypatch.setattr(core_module, "eigsh", stalled)
+        D = self.noisy_distances(0, self.T + 1, 2)
+        with pytest.raises(EigenSolverError):
+            top_eigenpairs(DenseSymmetricMatrix(-0.5 * D * D), 2)
+
+    def test_dense_failure_is_eigensolver_error(self, monkeypatch):
+        def failed(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", failed)
+        with pytest.raises(EigenSolverError):
+            top_eigenpairs(DenseSymmetricMatrix(np.eye(self.T)), 2)
 
 
 class TestPseudoInverse:

@@ -24,7 +24,7 @@ from stresstune import (
     read_edge_csv,
     write_edge_csv,
 )
-from stresstune.graph import shortest_paths_csr
+from stresstune.graph import _FLOYD_WARSHALL_MAX_ORDER, shortest_paths_csr
 
 
 def line_config(*xs):
@@ -382,6 +382,63 @@ class TestAllPairsShortestPaths:
         g = DissimilarityGraph(2, [(0, 1, 1.0)])
         with pytest.raises(ValueError):
             all_pairs_shortest_paths(g, method="bellman-ford")
+
+
+def patch_graph(seed: int, m: int, integer: bool, split: bool) -> DissimilarityGraph:
+    """Random sparse graph on ``m`` nodes, about a sixth of its weights zero.
+
+    With ``split`` no edge joins the two halves, so the graph is disconnected.
+    """
+    r = np.random.default_rng(seed)
+    i = r.integers(0, m, size=3 * m)
+    j = r.integers(0, m, size=3 * m)
+    if split:
+        j = np.where(i < m // 2, j % (m // 2), m // 2 + j % (m - m // 2))
+    keep = i != j
+    key = np.unique(np.minimum(i, j)[keep] * m + np.maximum(i, j)[keep])
+    ei, ej = key // m, key % m
+    w = r.integers(1, 10, size=key.size).astype(np.float64) if integer else r.uniform(0.1, 2.0, size=key.size)
+    w[r.uniform(size=key.size) < 1 / 6] = 0.0
+    return DissimilarityGraph(m, (ei, ej, w))
+
+
+class TestShortestPathsDispatch:
+    """``shortest_paths_csr`` against the undirected-Dijkstra oracle on both sides of its order switch."""
+
+    T = _FLOYD_WARSHALL_MAX_ORDER
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=hst.integers(0, 2**32 - 1),
+        m=hst.sampled_from([T - 1, T, T + 1]),
+        integer=hst.booleans(),
+        split=hst.booleans(),
+    )
+    def test_matches_completion_oracle(self, seed, m, integer, split):
+        g = patch_graph(seed, m, integer, split)
+        sub = g._adj_csr()
+        D = shortest_paths_csr(sub)
+        want = oracles.completion_dijkstra(sub)
+        np.testing.assert_array_equal(np.isinf(D), np.isinf(want))
+        if m > self.T or integer:
+            np.testing.assert_array_equal(D, want)
+        else:
+            finite = np.isfinite(want)
+            np.testing.assert_allclose(D[finite], want[finite], rtol=1e-12, atol=0)
+        np.testing.assert_array_equal(D, D.T)
+        # Stored zero weights are edges: their endpoints are at distance 0.
+        zero = g.weights == 0.0
+        assert (D[g.ei[zero], g.ej[zero]] == 0.0).all()
+        assert (D[g.ei, g.ej] <= g.weights).all()
+        if split:
+            half = m // 2
+            assert np.isinf(D[:half, half:]).all()
+
+    def test_floyd_warshall_branch_on_small_orders(self):
+        sub = patch_graph(0, 20, integer=True, split=False)._adj_csr()
+        with mock.patch.object(graph_module, "_dijkstra_csr", side_effect=AssertionError):
+            D = shortest_paths_csr(sub)
+        np.testing.assert_array_equal(D, oracles.completion_dijkstra(sub))
 
 
 class TestConnectedComponents:

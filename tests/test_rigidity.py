@@ -5,6 +5,7 @@ import oracles
 from conftest import rotation
 from stresstune import (
     Configuration,
+    DegenerateGeometryError,
     DissimilarityGraph,
     RigidMap,
     StressTuneError,
@@ -96,6 +97,21 @@ class TestFindOrdering:
             assert find_trilaterative_ordering(g, 2, max_seed_cliques=1) is None
         found = find_trilaterative_ordering(g, 2)
         assert found is None or verify_trilaterative_ordering(g, found)
+
+    def test_skips_seed_that_violates_triangle_inequality(self, rng):
+        # Exact distances on six points, except that d(1, 2) exceeds
+        # d(0, 1) + d(0, 2): classical scaling puts the first seed clique
+        # (0, 1, 2) on a line, from which node 3 cannot be trilaterated.
+        pts = rng.uniform(size=(6, 2))
+        D = np.linalg.norm(pts[:, None] - pts[None], axis=2)
+        D[1, 2] = D[2, 1] = 1.5 * (D[0, 1] + D[0, 2])
+        g = DissimilarityGraph(6, [(i, j, D[i, j]) for i in range(6) for j in range(i + 1, 6)])
+        with pytest.raises(DegenerateGeometryError):
+            sequential_trilateration(g, TrilaterativeOrdering(p=2, order=(0, 1, 2, 3, 4, 5)), 2)
+        ordering = find_trilaterative_ordering(g, 2)
+        assert ordering.seed_clique == (0, 1, 3)
+        assert verify_trilaterative_ordering(g, ordering)
+        assert np.isfinite(sequential_trilateration(g, ordering, 2).points).all()
 
     def test_verifier_rejects_bogus_ordering(self):
         g = path_graph(4)
