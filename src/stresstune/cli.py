@@ -55,8 +55,6 @@ from .stitch import mds_map_p
 from .svgplot import sweep_chart
 from .tune import sweep_hops
 
-THREADS_ENV = "STRESS_TUNE_THREADS"
-
 _SHAPE_NAMES = {
     "rectangle": "rectangle",
     "hollow": "hollow_rectangle",
@@ -79,20 +77,6 @@ def _atomic_csv(path: Path, write_fn) -> None:
 
 def _write_meta(outdir: Path, meta: dict) -> None:
     _atomic_write(outdir / "meta.json", json.dumps(meta, indent=2, sort_keys=True) + "\n")
-
-
-def _workers(parser: argparse.ArgumentParser) -> int | None:
-    """Sweep worker processes from the environment; ``None`` (unset, empty or 0) is auto."""
-    raw = os.environ.get(THREADS_ENV, "").strip()
-    if not raw:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        parser.error(f"{THREADS_ENV} must be a nonnegative integer, got {raw!r}")
-    if value < 0:
-        parser.error(f"{THREADS_ENV} must be a nonnegative integer, got {raw!r}")
-    return value or None
 
 
 def _outdir(args) -> Path:
@@ -172,7 +156,6 @@ def cmd_sweep(args, parser) -> int:
         truth=truth,
         refine_patches=not args.no_patch_refine,
         final_refine=not args.no_final_refine,
-        workers=_workers(parser),
         embeddings=embeddings,
     )
     _atomic_write(out / "sweep.json", report.to_json(include_timing=args.timing))

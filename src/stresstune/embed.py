@@ -169,26 +169,19 @@ def _smacof(
     return Y, history
 
 
-def smacof_refine(
-    g: DissimilarityGraph,
-    start: Configuration,
-    max_iter: int = SMACOF_MAX_ITER,
-    tol: float = SMACOF_TOL,
-    return_history: bool = False,
-):
+def smacof_refine(g: DissimilarityGraph, start: Configuration, return_history: bool = False):
     """Refine a configuration by majorizing the edge-restricted stress.
 
     Only observed edges enter the objective (unit weights). Stops when the
-    relative stress decrease falls below ``tol`` or after ``max_iter`` steps.
-    With ``return_history`` the per-iterate stress values are returned too.
+    relative stress decrease falls below ``SMACOF_TOL`` or after
+    ``SMACOF_MAX_ITER`` steps. With ``return_history`` the per-iterate stress
+    values are returned too.
     """
     if start.n != g.n:
         raise ValueError("start configuration must cover every node")
-    if max_iter < 0:
-        raise ValueError("max_iter must be nonnegative")
     if not is_connected(g):
         raise DisconnectedGraphError("stress majorization requires a connected graph")
-    Y, history = _smacof(g.n, g.ei, g.ej, g.weights, start.points, max_iter, tol)
+    Y, history = _smacof(g.n, g.ei, g.ej, g.weights, start.points, SMACOF_MAX_ITER, SMACOF_TOL)
     result = Configuration(Y)
     if return_history:
         return result, history

@@ -348,6 +348,8 @@ def read_edge_csv(path: str | os.PathLike, n: int | None = None) -> Dissimilarit
     nodes are isolated (an edge list cannot represent them).
     """
     ei, ej, w = [], [], []
+    # The node count max(index) + 1 must fit in int64 too.
+    limit = np.iinfo(np.int64).max
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -364,6 +366,8 @@ def read_edge_csv(path: str | os.PathLike, n: int | None = None) -> Dissimilarit
                 w.append(float(rec[2]))
             except ValueError as exc:
                 raise ValueError(f"{path}: row {lineno}: {exc}") from exc
+            if not (0 <= ei[-1] < limit and 0 <= ej[-1] < limit):
+                raise ValueError(f"{path}: row {lineno}: node index outside [0, {limit})")
     if not ei:
         raise ValueError(f"{path}: no edges")
     inferred = max(max(ei), max(ej)) + 1

@@ -134,9 +134,7 @@ def _seed_dissimilarities(g: DissimilarityGraph, seed: tuple[int, ...]) -> np.nd
     return D
 
 
-def find_trilaterative_ordering(
-    g: DissimilarityGraph, p: int, max_seed_cliques: int = DEFAULT_SEED_CLIQUE_CAP
-) -> TrilaterativeOrdering | None:
+def find_trilaterative_ordering(g: DissimilarityGraph, p: int) -> TrilaterativeOrdering | None:
     """Search for a trilaterative ordering by greedy closure over seed cliques.
 
     Seed ``p+1``-cliques are enumerated lexicographically. A seed whose own
@@ -145,22 +143,20 @@ def find_trilaterative_ordering(
     line) is skipped, since nothing can be trilaterated from it. Each other
     seed is grown by the monotone closure rule until it either covers the
     graph (success) or stalls. Returns None when no enumerated seed closes;
-    hitting the enumeration cap additionally emits a warning, since a valid
-    ordering may exist beyond it.
+    hitting the enumeration cap ``DEFAULT_SEED_CLIQUE_CAP`` additionally
+    emits a warning, since a valid ordering may exist beyond it.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
-    if max_seed_cliques < 1:
-        raise ValueError("max_seed_cliques must be >= 1")
     adj = [set() for _ in range(g.n)]
     for a, b in zip(g.ei, g.ej):
         adj[int(a)].add(int(b))
         adj[int(b)].add(int(a))
     tried = 0
     for seed in _cliques(adj, p + 1):
-        if tried >= max_seed_cliques:
+        if tried >= DEFAULT_SEED_CLIQUE_CAP:
             warnings.warn(
-                f"seed-clique cap {max_seed_cliques} reached without a closing seed; "
+                f"seed-clique cap {DEFAULT_SEED_CLIQUE_CAP} reached without a closing seed; "
                 "an ordering may still exist",
                 stacklevel=2,
             )
@@ -182,7 +178,10 @@ def sequential_trilateration(
     The seed clique is embedded by classical scaling of its (complete)
     dissimilarity submatrix; every later vertex is trilaterated from all of
     its already-placed neighbors. Exact distances give exact recovery up to
-    a rigid map.
+    a rigid map. Noisy distances do not: each placement error feeds every
+    later trilateration, so the error compounds along the ordering. On the
+    README's hollow rectangle with 15% edge noise the normalized RMSE is
+    84.5; use :func:`~stresstune.stitch.mds_map_p` for noisy data.
     """
     if ordering.p != p:
         raise ValueError("ordering was built for a different dimension")

@@ -72,9 +72,6 @@ class GlobalMap:
     def __reduce__(self):
         return (GlobalMap, (self.coords, self.merge_log))
 
-    def as_configuration(self) -> Configuration:
-        return Configuration(self.coords)
-
 
 def _embed_members(
     g: DissimilarityGraph,

@@ -21,13 +21,13 @@ from .core import Configuration, StressTuneError
 from .graph import DissimilarityGraph
 from .stitch import mds_map_p
 
-# Node count from which an automatic sweep (``workers=None``) runs its hop
-# values in worker processes. Each spawned worker pays about 0.7 s to import
-# numpy, scipy and this package before its first hop value, so small sweeps
-# stay inline. Measured on a 2-vCPU host (hollow rectangle, 10-NN graph,
-# hops 1,2,3,5,10, BLAS on one thread, median of 3), inline vs 2 workers:
-# 0.24 vs 1.01 s at n=150, 0.74 vs 1.28 s at n=306, 1.68 vs 1.72 s at
-# n=468, 2.98 vs 2.45 s at n=622 and 5.85 vs 3.71 s at n=828.
+# Node count from which a sweep runs its hop values in worker processes. Each
+# spawned worker pays about 0.7 s to import numpy, scipy and this package
+# before its first hop value, so small sweeps stay inline. Measured on a
+# 2-vCPU host (hollow rectangle, 10-NN graph, hops 1,2,3,5,10, BLAS on one
+# thread, median of 3), inline vs 2 workers: 0.24 vs 1.01 s at n=150, 0.74
+# vs 1.28 s at n=306, 1.68 vs 1.72 s at n=468, 2.98 vs 2.45 s at n=622 and
+# 5.85 vs 3.71 s at n=828.
 _POOL_MIN_NODES = 500
 
 # BLAS thread counts pinned to 1 in the workers: with one hop value per core,
@@ -276,7 +276,6 @@ def sweep_hops(
     truth: Configuration | None = None,
     refine_patches: bool = True,
     final_refine: bool = True,
-    workers: int | None = None,
     embeddings: dict | None = None,
 ) -> SweepReport:
     """Stitch the graph at each hop radius and score the results by stress.
@@ -286,15 +285,9 @@ def sweep_hops(
     the scale ratio. Pass a dict as ``embeddings`` to receive the per-h
     configurations.
 
-    ``workers`` sets how many worker processes sweep hop values in parallel,
-    each with BLAS pinned to one thread. ``1`` sweeps inline. ``None`` (the
-    default) uses one process per available core, up to one per hop value,
-    when there are at least two of each and the graph has at least 500
-    nodes, and sweeps inline otherwise. Results do not depend on the number
-    of workers: they are bit-identical to an inline sweep whose BLAS runs on
-    one thread (multithreaded BLAS can change the last bits of large patch
-    eigensolves). Workers are spawned and import the caller's main module,
-    so a script that sweeps in parallel must call it under an
+    Graphs of at least 500 nodes sweep in spawned worker processes, one per
+    usable core and hop value, each with BLAS on one thread. Workers import
+    the caller's main module, so a script must sweep under an
     ``if __name__ == "__main__":`` guard; without one the sweep raises
     :class:`StressTuneError`.
     """
@@ -305,14 +298,11 @@ def sweep_hops(
         raise ValueError("hop values must be >= 1")
     if truth is not None and truth.n != g.n:
         raise ValueError("truth configuration must cover every node")
-    if workers is not None and workers < 1:
-        raise ValueError("workers must be None or >= 1")
-    if workers is None:
-        workers = min(len(hs), _usable_cores()) if g.n >= _POOL_MIN_NODES else 1
+    workers = min(len(hs), _usable_cores()) if g.n >= _POOL_MIN_NODES else 1
 
     args = (g, p, truth, refine_patches, final_refine)
     if workers > 1:
-        outcomes = _sweep_in_processes(hs, min(workers, len(hs)), args)
+        outcomes = _sweep_in_processes(hs, workers, args)
     else:
         outcomes = {h: _sweep_one(h, *args) for h in hs}
 

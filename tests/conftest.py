@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as hst
 
 from stresstune import Configuration
 
@@ -17,3 +18,38 @@ def unit_square_corners():
 def rotation(theta: float) -> np.ndarray:
     c, s = np.cos(theta), np.sin(theta)
     return np.array([[c, -s], [s, c]])
+
+
+# CSV fields a malformed export may hold: a negative index, an index outside
+# int64, non-finite and unparseable numbers, and arbitrary short text (which
+# can itself carry commas, quotes and line breaks); the listed ones are drawn
+# half the time.
+_SPECIAL_FIELDS = hst.sampled_from(
+    ["-1", "99999999999999999999", "1e400", "nan", "-inf", "", " 1 ", "0x1", '"']
+)
+_BAD_FIELDS = hst.one_of(_SPECIAL_FIELDS, _SPECIAL_FIELDS, hst.floats().map(repr), hst.text(max_size=4))
+
+
+@hst.composite
+def malformed_csv(draw, header: str, columns):
+    """CSV text: ``header`` (or half the time a damaged copy), then up to eight rows.
+
+    Rows draw each field from its strategy in ``columns`` (well-formed
+    values); up to two of them are then damaged: a field replaced by a
+    malformed one, the last field dropped, or a field added. Well-formed
+    indices should stay small, so that no reader builds anything of order n.
+    """
+    first = header
+    if draw(hst.booleans()):
+        first = draw(hst.sampled_from([header.upper(), header.split(",", 1)[-1], ""]))
+    rows = draw(hst.lists(hst.tuples(*columns).map(list), max_size=8))
+    for r in draw(hst.sets(hst.integers(0, len(rows) - 1), max_size=2)) if rows else ():
+        damage = draw(hst.integers(0, 2))
+        if damage == 0:
+            rows[r][draw(hst.integers(0, len(columns) - 1))] = draw(_BAD_FIELDS)
+        elif damage == 1:
+            rows[r].pop()
+        else:
+            rows[r].append(draw(_BAD_FIELDS))
+    end = draw(hst.sampled_from(["\n", "\r\n"]))
+    return end.join([first, *(",".join(row) for row in rows)]) + end

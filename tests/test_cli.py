@@ -86,11 +86,9 @@ class TestSweep:
         assert (out / "embedding_h1.csv").exists()
         assert (out / "sweep.csv").exists()
 
-    def test_rerun_byte_identical(self, complete_instance, monkeypatch):
-        # The second run sweeps in two worker processes.
+    def test_rerun_byte_identical(self, complete_instance):
         outs = []
-        for name, workers in (("r1", "1"), ("r2", "2")):
-            monkeypatch.setenv("STRESS_TUNE_THREADS", workers)
+        for name in ("r1", "r2"):
             out = complete_instance / name
             run(["sweep", "--graph", complete_instance / "graph.csv",
                  "--hops", "1,2", "--out", out])
@@ -110,35 +108,6 @@ class TestSweep:
                  "--out", tmp_path / "o"])
         assert exc.value.code == 2
 
-    def test_threads_env_must_be_integer(self, complete_instance, monkeypatch):
-        for bad in ("many", "-1", "1.5"):
-            monkeypatch.setenv("STRESS_TUNE_THREADS", bad)
-            with pytest.raises(SystemExit) as exc:
-                run(["sweep", "--graph", complete_instance / "graph.csv",
-                     "--hops", "1", "--out", complete_instance / "o"])
-            assert exc.value.code == 2
-
-    def test_threads_env_zero_means_auto(self, complete_instance, monkeypatch):
-        # Unset, empty and 0 mean auto, the library default; a positive value
-        # sets the number of worker processes.
-        import stresstune.cli as cli_module
-
-        seen = []
-        real = cli_module.sweep_hops
-
-        def spy(*args, **kwargs):
-            seen.append(kwargs["workers"])
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(cli_module, "sweep_hops", spy)
-        for value in (None, "", "0", "3"):
-            if value is None:
-                monkeypatch.delenv("STRESS_TUNE_THREADS", raising=False)
-            else:
-                monkeypatch.setenv("STRESS_TUNE_THREADS", value)
-            assert run(["sweep", "--graph", complete_instance / "graph.csv",
-                        "--hops", "1,2", "--out", complete_instance / "auto"]) == 0
-        assert seen == [None, None, None, 3]
 
 class TestEmbedAndAlign:
     def make_instance(self, tmp_path, rng, n=10):
@@ -186,6 +155,14 @@ class TestEmbedAndAlign:
                     "--out", out]) == 0
         emb = read_configuration_csv(out / "embedding.csv")
         assert emb.n == read_configuration_csv(data / "config.csv").n
+
+    def test_node_index_outside_int64_exits_1(self, tmp_path, capsys):
+        (tmp_path / "big.csv").write_text("i,j,d\n0,1,1.0\n0,99999999999999999999,1.0\n")
+        code = run(["embed", "--method", "mdsd", "--graph", tmp_path / "big.csv",
+                    "--out", tmp_path / "o"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("stresstune: error:") and "row 3" in err
 
     def test_isomap_local_requires_points(self, tmp_path, rng):
         self.make_instance(tmp_path, rng)

@@ -25,6 +25,7 @@ from stresstune import (
 )
 from stresstune.core import EigenSolverError, _DENSE_EIGH_MAX_ORDER, _top_eigenpairs_array
 from stresstune.embed import _classical_scaling_array
+from conftest import malformed_csv
 
 
 class TestConfiguration:
@@ -304,6 +305,11 @@ class TestAffineRank:
         assert affine_rank(np.array([[3.0, 4.0]])) == 0
 
 
+# Well-formed configuration fields for the fuzzing of read_configuration_csv.
+_ID = hst.integers(0, 2).map(str)
+_COORD = hst.floats(-10, 10).map(repr)
+
+
 class TestConfigurationCsv:
     def test_round_trip_is_exact_and_byte_stable(self, tmp_path, rng):
         cfg = Configuration(rng.standard_normal((7, 3)))
@@ -325,6 +331,17 @@ class TestConfigurationCsv:
         path.write_text("id,x1\n0,1.0\n2,2.0\n")
         with pytest.raises(ValueError):
             read_configuration_csv(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=malformed_csv("id,x1,x2", [_ID, _COORD, _COORD]))
+    def test_malformed_rows_return_a_configuration_or_raise_value_error(self, tmp_path_factory, text):
+        path = tmp_path_factory.getbasetemp() / "fuzz_config.csv"
+        path.write_text(text, newline="")
+        try:
+            config = read_configuration_csv(path)
+        except ValueError:
+            return
+        assert isinstance(config, Configuration) and np.isfinite(config.points).all()
 
 
 class TestPublicApi:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 from scipy.integrate import quad
 
 import oracles
@@ -19,6 +21,7 @@ from stresstune import (
     rescale_to_unit,
 )
 from stresstune.data import _invert_swiss_arclength
+from conftest import malformed_csv
 
 
 class TestDomainShape:
@@ -268,6 +271,12 @@ class TestHaversine:
             CityTable(names=("a",), lat=np.array([95.0]), lon=np.array([0.0]))
 
 
+# Well-formed city fields for the fuzzing of load_cities.
+_NAME = hst.text(max_size=6)
+_LAT = hst.floats(-90, 90).map(repr)
+_LNG = hst.floats(-180, 180).map(repr)
+
+
 class TestLoadCities:
     def test_two_rows(self, tmp_path):
         path = tmp_path / "cities.csv"
@@ -294,3 +303,14 @@ class TestLoadCities:
         path.write_text("city,lat,lng\nA,abc,-118.0\n")
         with pytest.raises(ValueError, match="2"):
             load_cities(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=malformed_csv("city,lat,lng", [_NAME, _LAT, _LNG]))
+    def test_malformed_rows_return_a_table_or_raise_value_error(self, tmp_path_factory, text):
+        path = tmp_path_factory.getbasetemp() / "fuzz_cities.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        try:
+            table = load_cities(path)
+        except ValueError:
+            return
+        assert isinstance(table, CityTable) and table.n >= 1

@@ -25,6 +25,7 @@ from stresstune import (
     write_edge_csv,
 )
 from stresstune.graph import _FLOYD_WARSHALL_MAX_ORDER, shortest_paths_csr
+from conftest import malformed_csv
 
 
 def line_config(*xs):
@@ -455,6 +456,11 @@ class TestConnectedComponents:
         assert connected_components(g) == oracles.union_find_components(35, edge_triples(g))
 
 
+# Well-formed edge-list fields for the fuzzing of read_edge_csv.
+_INDEX = hst.integers(0, 20).map(str)
+_WEIGHT = hst.floats(0, 10).map(repr)
+
+
 class TestEdgeCsv:
     def test_round_trip_exact_and_byte_stable(self, tmp_path, rng):
         g = random_graph(rng, 12)
@@ -473,3 +479,21 @@ class TestEdgeCsv:
         assert path.read_text().splitlines()[0] == "i,j,d"
         assert read_edge_csv(path).n == 2  # inferred from max index
         assert read_edge_csv(path, n=5).n == 5
+
+    def test_index_outside_int64_names_the_row(self, tmp_path):
+        path = tmp_path / "graph.csv"
+        for index in ("99999999999999999999", str(2**63 - 1), "-1"):
+            path.write_text(f"i,j,d\n0,1,1.0\n0,{index},1.0\n")
+            with pytest.raises(ValueError, match="row 3"):
+                read_edge_csv(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=malformed_csv("i,j,d", [_INDEX, _INDEX, _WEIGHT]))
+    def test_malformed_rows_return_a_graph_or_raise_value_error(self, tmp_path_factory, text):
+        path = tmp_path_factory.getbasetemp() / "fuzz_graph.csv"
+        path.write_text(text, newline="")
+        try:
+            g = read_edge_csv(path)
+        except ValueError:
+            return
+        assert isinstance(g, DissimilarityGraph) and g.edge_count >= 1

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
+import stresstune.rigidity as rigidity_module
 from conftest import rotation
 from stresstune import (
     Configuration,
@@ -83,7 +84,7 @@ class TestFindOrdering:
         g2 = DissimilarityGraph(60, extra)
         assert find_trilaterative_ordering(g2, 2) is not None
 
-    def test_seed_cap_warns_and_returns_none(self):
+    def test_seed_cap_warns_and_returns_none(self, monkeypatch):
         # Two components: a triangle on low indices that cannot close over
         # the K5, and a K5 that could. A cap of 1 exhausts enumeration at the
         # triangle, so the search gives up with a warning.
@@ -93,8 +94,10 @@ class TestFindOrdering:
         ]
         bridge = [(2, 3, 1.0)]
         g = DissimilarityGraph(8, tri + k5 + bridge)
-        with pytest.warns(UserWarning, match="cap"):
-            assert find_trilaterative_ordering(g, 2, max_seed_cliques=1) is None
+        with monkeypatch.context() as m:
+            m.setattr(rigidity_module, "DEFAULT_SEED_CLIQUE_CAP", 1)
+            with pytest.warns(UserWarning, match="cap"):
+                assert find_trilaterative_ordering(g, 2) is None
         found = find_trilaterative_ordering(g, 2)
         assert found is None or verify_trilaterative_ordering(g, found)
 

@@ -4,6 +4,7 @@ import signal
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -234,7 +235,7 @@ class TestSweepHops:
         assert [r.h for r in report.rows] == [1, 2]
 
     def test_parallel_workers_match_serial(self, rng, monkeypatch):
-        from stresstune import apply_multiplicative_noise, knn_graph
+        from stresstune import apply_multiplicative_noise, knn_graph, tune
 
         pts = rng.uniform(size=(50, 2))
         knn = apply_multiplicative_noise(knn_graph(Configuration(pts), 6), 0.1, seed=2)
@@ -250,27 +251,29 @@ class TestSweepHops:
         monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
         environ = dict(os.environ)
         for g, truth, hs, workers in cases:
-            serial_emb, parallel_emb = {}, {}
-            serial = sweep_hops(g, 2, hs, truth=Configuration(truth), workers=1,
-                                embeddings=serial_emb)
-            parallel = sweep_hops(g, 2, hs, truth=Configuration(truth), workers=workers,
-                                  embeddings=parallel_emb)
+            args = (g, 2, Configuration(truth), True, True)
+            serial = {h: tune._sweep_one(h, *args) for h in hs}
+            parallel = tune._sweep_in_processes(hs, workers, args)
             assert dict(os.environ) == environ
-            assert serial.to_json() == parallel.to_json()
-            assert sorted(parallel_emb) == sorted(serial_emb)
-            for h, config in parallel_emb.items():
-                assert np.array_equal(config.points, serial_emb[h].points)
-                assert not config.points.flags.writeable
-        assert parallel.row(1).failed
+            assert sorted(parallel) == hs
+            for h in hs:
+                (row, config), (want_row, want_config) = parallel[h], serial[h]
+                assert replace(row, wall_time_s=None) == replace(want_row, wall_time_s=None)
+                if want_config is None:
+                    assert config is None
+                else:
+                    assert np.array_equal(config.points, want_config.points)
+                    assert not config.points.flags.writeable
+        assert parallel[1][0].failed
 
     def test_unguarded_script_fails_with_guard_message(self, tmp_path):
         # Spawned workers import the main module; without a main guard each
         # one starts a sweep of its own and dies, which must not hang.
         script = tmp_path / "unguarded.py"
         script.write_text(
-            "from stresstune import DissimilarityGraph, sweep_hops\n"
+            "from stresstune import DissimilarityGraph, tune\n"
             "g = DissimilarityGraph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])\n"
-            "sweep_hops(g, 2, [1, 3], workers=2)\n"
+            "tune._sweep_in_processes([1, 3], 2, (g, 2, None, True, True))\n"
         )
         src = str(Path(stresstune.__file__).resolve().parent.parent)
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
@@ -293,10 +296,10 @@ class TestSweepHops:
         script = tmp_path / "long_sweep.py"
         script.write_text(
             "import numpy as np\n"
-            "from stresstune import Configuration, knn_graph, sweep_hops\n"
+            "from stresstune import Configuration, knn_graph, tune\n"
             'if __name__ == "__main__":\n'
-            "    pts = np.random.default_rng(0).uniform(size=(800, 2))\n"
-            "    sweep_hops(knn_graph(Configuration(pts), 10), 2, [2, 3, 4, 5, 6], workers=2)\n"
+            "    g = knn_graph(Configuration(np.random.default_rng(0).uniform(size=(800, 2))), 10)\n"
+            "    tune._sweep_in_processes([2, 3, 4, 5, 6], 2, (g, 2, None, True, True))\n"
         )
         src = str(Path(stresstune.__file__).resolve().parent.parent)
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
@@ -342,6 +345,40 @@ class TestSweepHops:
                 if running(pid):
                     os.kill(pid, signal.SIGKILL)
 
+    def test_pooled_sweep_ignores_the_callers_blas_threads(self, tmp_path):
+        # numpy's matrix-vector product, which Lanczos repeats on every patch
+        # above order 80, rounds differently on one and two OpenBLAS threads
+        # from about order 680 on (OpenBLAS 0.3.31). At h=60 the 700-node graph
+        # is one patch, so a sweep inline on two threads differs in its last
+        # bits; workers pin BLAS to one thread whatever the parent runs.
+        script = tmp_path / "blas_sweep.py"
+        script.write_text(
+            "import hashlib, sys\n"
+            "import numpy as np\n"
+            "from stresstune import Configuration, knn_graph, tune\n"
+            'if __name__ == "__main__":\n'
+            "    g = knn_graph(Configuration(np.random.default_rng(3).uniform(size=(700, 2))), 8)\n"
+            "    args, hs = (g, 2, None, False, False), [3, 60]\n"
+            "    if sys.argv[1] == 'pool':\n"
+            "        out = tune._sweep_in_processes(hs, 2, args)\n"
+            "    else:\n"
+            "        out = {h: tune._sweep_one(h, *args) for h in hs}\n"
+            "    for h in hs:\n"
+            "        row, config = out[h]\n"
+            "        print(h, repr(row.stress), hashlib.sha256(config.points.tobytes()).hexdigest())\n"
+        )
+        src = str(Path(stresstune.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+        def run(mode, threads):
+            blas = {var: threads for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+            proc = subprocess.run([sys.executable, str(script), mode], capture_output=True,
+                                  text=True, timeout=300, env={**env, **blas}, cwd=tmp_path)
+            assert proc.returncode == 0, proc.stderr
+            return proc.stdout
+
+        assert run("pool", "2") == run("inline", "1")
+
     def test_auto_workers_need_cores_hop_values_and_nodes(self, rng, monkeypatch):
         from stresstune import knn_graph, tune
 
@@ -365,11 +402,6 @@ class TestSweepHops:
             monkeypatch.setattr(tune, "_usable_cores", lambda: cores)
             sweep_hops(g, 2, hs, refine_patches=False, final_refine=False)
             assert pooled == expected
-
-    def test_workers_must_be_positive(self, rng):
-        g = complete_graph(rng.uniform(size=(6, 2)))
-        with pytest.raises(ValueError):
-            sweep_hops(g, 2, [1, 2], workers=0)
 
     def test_embeddings_out_parameter(self, rng):
         pts = rng.uniform(size=(10, 2))
