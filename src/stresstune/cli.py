@@ -23,6 +23,7 @@ from .core import (
     Configuration,
     DenseSymmetricMatrix,
     StressTuneError,
+    _check_dense_fits,
     read_configuration_csv,
     write_configuration_csv,
 )
@@ -187,6 +188,8 @@ def cmd_sweep(args, parser) -> int:
 
 
 def _complete_matrix(g) -> DenseSymmetricMatrix:
+    # The observed matrix and the validated copy the returned matrix holds.
+    _check_dense_fits("embed --method cs", g.n, 2)
     D = np.full((g.n, g.n), np.inf)
     np.fill_diagonal(D, 0.0)
     D[g.ei, g.ej] = g.weights

@@ -27,6 +27,12 @@ PINV_RCOND = 1e-10
 # m=80 0.47-0.69 vs 0.36-0.58, m~120 1.0 vs 0.4, m~900+ 172 vs 9.
 _DENSE_EIGH_MAX_ORDER = 80
 
+# Bytes of dense float64 scratch that one block of rows may hold: hop_balls
+# runs its truncated searches from this many rows' worth of sources at a time,
+# and the in-place symmetrizations of completion and double-centring walk an
+# n x n array in row blocks of this size (at least one row).
+_DENSE_BLOCK_BYTES = 2 * 1024 * 1024
+
 
 class StressTuneError(Exception):
     """Base class for domain errors raised by this package."""
@@ -42,6 +48,30 @@ class DegenerateGeometryError(StressTuneError):
 
 class EigenSolverError(StressTuneError):
     """The symmetric eigensolver failed to converge."""
+
+
+def _physical_memory_bytes() -> int | None:
+    """Installed physical memory in bytes, or None where ``os.sysconf`` cannot tell."""
+    try:
+        page, pages = os.sysconf("SC_PAGE_SIZE"), os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+    return page * pages if page > 0 and pages > 0 else None
+
+
+def _check_dense_fits(step: str, n: int, arrays: int) -> None:
+    """Raise ``StressTuneError`` when ``arrays`` dense n x n float64 arrays exceed physical memory.
+
+    ``arrays`` counts what the step itself holds at once, so the check is a
+    lower bound: it refuses only runs that cannot fit, before any is allocated.
+    """
+    need = arrays * 8 * n * n
+    total = _physical_memory_bytes()
+    if total is not None and need > total:
+        raise StressTuneError(
+            f"{step} at n={n} needs at least {need / 2**30:.3g} GiB of dense n x n arrays, "
+            f"more than the {total / 2**30:.3g} GiB of physical memory"
+        )
 
 
 def _frozen_array(values, dtype=np.float64) -> np.ndarray:
@@ -184,13 +214,49 @@ def double_center(matrix: DenseSymmetricMatrix) -> DenseSymmetricMatrix:
     A = matrix.values
     if matrix.allow_infinite and np.isinf(A).any():
         raise ValueError("cannot double-center a matrix with infinite entries")
-    return DenseSymmetricMatrix(_double_center_array(A))
+    return DenseSymmetricMatrix(_double_center_array(A.copy()))
 
 
-def _double_center_array(A: np.ndarray) -> np.ndarray:
-    r = A.mean(axis=1)
-    B = A - r[:, None] - r[None, :] + A.mean()
-    return (B + B.T) / 2.0
+def _row_blocks(n: int):
+    """Consecutive row slices of an ``n``-column float64 array, at most ``_DENSE_BLOCK_BYTES`` each.
+
+    A block holds at least one row, and the last one may be partial.
+    """
+    step = max(1, _DENSE_BLOCK_BYTES // (8 * n))
+    for start in range(0, n, step):
+        yield slice(start, min(start + step, n))
+
+
+def _symmetrize_in_place(W: np.ndarray, combine) -> np.ndarray:
+    """Set ``W[i, j]`` and ``W[j, i]`` to ``combine(W[i, j], W[j, i])``, one row block at a time.
+
+    ``combine(a, b, out=a)`` is elementwise and gives the same bits for
+    swapped arguments, so the result equals ``combine(W, W.T)`` exactly while
+    the scratch stays within a row block or two (numpy copies an operand that
+    overlaps the output).
+    """
+    for rows in _row_blocks(W.shape[0]):
+        upper = W[rows, rows.start :]
+        combine(upper, W[rows.start :, rows].T, out=upper)
+        W[rows.start :, rows] = upper.T
+    return W
+
+
+def _double_center_array(W: np.ndarray) -> np.ndarray:
+    """Double-centre the writable square array ``W`` in place and return it.
+
+    Same operations in the same order as ``B = W - r[:, None] - r[None, :] +
+    W.mean()`` followed by ``(B + B.T) / 2.0``, so the bits agree, but no
+    second n x n array is allocated.
+    """
+    r = W.mean(axis=1)
+    mean = W.mean()
+    W -= r[:, None]
+    W -= r[None, :]
+    W += mean
+    _symmetrize_in_place(W, np.add)
+    W /= 2.0
+    return W
 
 
 def _top_eigenpairs_array(B: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:

@@ -14,6 +14,7 @@ from .core import (
     DenseSymmetricMatrix,
     DisconnectedGraphError,
     StressTuneError,
+    _check_dense_fits,
     _double_center_array,
     _top_eigenpairs_array,
     affine_rank,
@@ -29,8 +30,10 @@ SMACOF_TOL = 1e-6
 
 
 def _classical_scaling_array(D: np.ndarray, p: int) -> np.ndarray:
-    A = -0.5 * D * D
-    B = _double_center_array(A)
+    # One work array, the same products as -0.5 * D * D; D itself is never written.
+    W = np.multiply(D, -0.5)
+    W *= D
+    B = _double_center_array(W)
     vals, vecs = _top_eigenpairs_array(B, p)
     # Canonical signs: each eigenvector's largest-magnitude entry (the first
     # on ties) is positive, whichever solver ran.
@@ -58,6 +61,7 @@ def classical_scaling(D: DenseSymmetricMatrix, p: int) -> Configuration:
         raise ValueError("dissimilarity matrix must have a zero diagonal")
     if not 1 <= p <= D.order:
         raise ValueError(f"p must be in [1, {D.order}]")
+    _check_dense_fits("classical_scaling", D.order, 1)
     return Configuration(_classical_scaling_array(V, p))
 
 
@@ -76,6 +80,8 @@ def strain(config: Configuration, B: DenseSymmetricMatrix) -> float:
 
 def mds_d(g: DissimilarityGraph, p: int) -> Configuration:
     """Classical scaling after shortest-path completion of the missing pairs."""
+    # The completion and classical scaling's work array.
+    _check_dense_fits("mds_d", g.n, 2)
     if not is_connected(g):
         raise DisconnectedGraphError("graph must be connected for shortest-path completion")
     if not 1 <= p <= g.n:

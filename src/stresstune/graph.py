@@ -28,11 +28,10 @@ from .core import (
     DenseSymmetricMatrix,
     DisconnectedGraphError,
     StressTuneError,
+    _check_dense_fits,
+    _row_blocks,
+    _symmetrize_in_place,
 )
-
-# Sources per truncated BFS in hop_balls; each block holds a block x n
-# distance array only while its ball rows are extracted.
-_HOP_BALL_BLOCK = 256
 
 # Order up to which shortest_paths_csr runs scipy's Floyd-Warshall instead of
 # per-source Dijkstra. Measured on the benchmark's patches (2-vCPU host, one
@@ -225,8 +224,10 @@ def hop_balls(g: DissimilarityGraph, h: int) -> csr_matrix:
     """Boolean CSR matrix whose row ``v`` marks the nodes within ``h`` hops of ``v``.
 
     Row indices are sorted ascending. The balls come from ``h``-truncated
-    breadth-first searches over blocks of sources, so memory is
-    O(sum of ball sizes) plus one block of ``_HOP_BALL_BLOCK x n`` floats.
+    breadth-first searches run from blocks of sources, each block sized so
+    that its dense distance rows fill ``core._DENSE_BLOCK_BYTES`` (at least
+    one source per block). One block is alive at a time, so memory is the
+    output, O(sum of ball sizes), plus that fixed block, whatever n is.
     Balls are symmetric: ``u`` is in the ball of ``v`` iff ``v`` is in that of ``u``.
     """
     if h < 1:
@@ -235,12 +236,15 @@ def hop_balls(g: DissimilarityGraph, h: int) -> csr_matrix:
     adj = g._adj_csr()
     counts = np.zeros(n, dtype=np.int64)
     cols = []
-    for start in range(0, n, _HOP_BALL_BLOCK):
-        sources = np.arange(start, min(start + _HOP_BALL_BLOCK, n))
-        reach = _csgraph_dijkstra(adj, directed=False, unweighted=True, limit=h, indices=sources)
-        rows, c = np.nonzero(np.isfinite(reach))
-        counts[sources] = np.bincount(rows, minlength=sources.size)
-        cols.append(c.astype(np.int32))
+    for rows in _row_blocks(n):
+        reach = _csgraph_dijkstra(
+            adj, directed=False, unweighted=True, limit=h, indices=np.arange(rows.start, rows.stop)
+        )
+        block_rows, block_cols = np.nonzero(np.isfinite(reach))
+        counts[rows] = np.bincount(block_rows, minlength=reach.shape[0])
+        cols.append(block_cols.astype(np.int32))
+        # One block of distance rows alive at a time: drop it before the next search.
+        del reach, block_rows, block_cols
     indptr = np.concatenate([[0], np.cumsum(counts)])
     indices = np.concatenate(cols)
     return csr_matrix((np.ones(indices.size, dtype=bool), indices, indptr), shape=(n, n))
@@ -266,6 +270,8 @@ def all_pairs_shortest_paths(
     per-source Dijkstra fast path and the dense Floyd-Warshall reference; on
     additively exact weights (e.g. integers) the two agree bit for bit.
     """
+    # The completion and the validated copy the returned matrix holds.
+    _check_dense_fits("all_pairs_shortest_paths", g.n, 2)
     if method == "dijkstra":
         D = _dijkstra_csr(g._adj_csr())
     elif method == "floyd-warshall":
@@ -313,10 +319,10 @@ def _dijkstra_csr(adj: csr_matrix) -> np.ndarray:
     """Per-source Dijkstra on a symmetric CSR adjacency, symmetrized by the smaller of the two values.
 
     Every edge is stored in both directions, so a directed traversal sees the
-    undirected graph without scipy building the transpose.
+    undirected graph without scipy building the transpose. The minimum is
+    taken in place, one row block at a time, bit for bit ``np.minimum(D, D.T)``.
     """
-    D = _csgraph_dijkstra(adj, directed=True)
-    return np.minimum(D, D.T)
+    return _symmetrize_in_place(_csgraph_dijkstra(adj, directed=True), np.minimum)
 
 
 def shortest_paths_csr(sub: csr_matrix) -> np.ndarray:

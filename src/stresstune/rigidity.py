@@ -23,7 +23,7 @@ from .core import (
     affine_rank,
 )
 from .embed import _classical_scaling_array, _trilaterate, classical_scaling
-from .graph import DissimilarityGraph
+from .graph import DissimilarityGraph, is_connected
 
 DEFAULT_SEED_CLIQUE_CAP = 10_000
 
@@ -142,12 +142,17 @@ def find_trilaterative_ordering(g: DissimilarityGraph, p: int) -> TrilaterativeO
     that violate the triangle inequality, which classical scaling puts on a
     line) is skipped, since nothing can be trilaterated from it. Each other
     seed is grown by the monotone closure rule until it either covers the
-    graph (success) or stalls. Returns None when no enumerated seed closes;
-    hitting the enumeration cap ``DEFAULT_SEED_CLIQUE_CAP`` additionally
-    emits a warning, since a valid ordering may exist beyond it.
+    graph (success) or stalls. Returns None for a disconnected graph and
+    when no enumerated seed closes; hitting the enumeration cap
+    ``DEFAULT_SEED_CLIQUE_CAP`` additionally emits a warning, since a valid
+    ordering may exist beyond it.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
+    # A closure grows along edges, so no seed closes a disconnected graph; the
+    # check comes before the per-node adjacency sets, which cost O(n).
+    if not is_connected(g):
+        return None
     adj = [set() for _ in range(g.n)]
     for a, b in zip(g.ei, g.ej):
         adj[int(a)].add(int(b))

@@ -202,8 +202,10 @@ def mds_map_p(
 
     Memberships are kept as sparse hop balls (:func:`~stresstune.graph.hop_balls`)
     and both refinements factor a sparse grounded Laplacian, so memory is
-    O(sum of ball sizes + edges) rather than O(n^2), plus the dense
-    completion of the one patch being embedded (O(m^2) for m members).
+    O(sum of ball sizes + edges) rather than O(n^2), plus two dense m x m
+    arrays for the one patch being embedded (its completion and the
+    double-centred work array of classical scaling). The balls are released
+    before the final refinement.
     """
     if h < 1:
         raise ValueError("h must be >= 1")
@@ -237,6 +239,8 @@ def mds_map_p(
                 coords[members] = local
                 placed[members] = True
         log.append((v, overlap))
+    # The balls are O(sum of ball sizes); the final refinement needs only the graph.
+    del balls
 
     result = Configuration(coords)
     if final_refine:

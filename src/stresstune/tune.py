@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .align import aligned_error, scale_ratio
-from .core import Configuration, StressTuneError
+from .core import Configuration, StressTuneError, _check_dense_fits
 from .graph import DissimilarityGraph
 from .stitch import mds_map_p
 
@@ -64,6 +64,8 @@ def complete_noiseless_stress(config: Configuration, truth: Configuration) -> fl
     """Noiseless stress summed over all unordered pairs, not just edges."""
     if config.n != truth.n:
         raise ValueError("configurations must have the same size")
+    # The pair indices alone are two int64 arrays of n(n-1)/2 entries.
+    _check_dense_fits("complete_noiseless_stress", config.n, 1)
     iu, ju = np.triu_indices(config.n, k=1)
     sq = _edge_sq_dists(config.points, iu, ju)
     true_sq = _edge_sq_dists(truth.points, iu, ju)

@@ -1,7 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import strategies as hst
 
+import stresstune.core as core_module
 from stresstune import Configuration
 
 
@@ -13,6 +16,11 @@ def rng():
 @pytest.fixture
 def unit_square_corners():
     return Configuration(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]))
+
+
+def block_budget(n: int, rows: int):
+    """Patch the dense block budget so that an n-column block holds ``rows`` rows."""
+    return mock.patch.object(core_module, "_DENSE_BLOCK_BYTES", 8 * n * rows)
 
 
 def rotation(theta: float) -> np.ndarray:

@@ -68,6 +68,23 @@ def completion_dijkstra(sub) -> np.ndarray:
     return np.minimum(D, D.T)
 
 
+def symmetrize_min(D: np.ndarray) -> np.ndarray:
+    """The smaller of each entry and its mirror, out of place: completion's symmetrization."""
+    return np.minimum(D, D.T)
+
+
+def double_center_out_of_place(A: np.ndarray) -> np.ndarray:
+    """Row and column means removed, grand mean added, then ``(B + B.T) / 2.0``, each a new array."""
+    r = A.mean(axis=1)
+    B = A - r[:, None] - r[None, :] + A.mean()
+    return (B + B.T) / 2.0
+
+
+def classical_scaling_gram(D: np.ndarray) -> np.ndarray:
+    """The double-centred ``-0.5 * D * D`` that classical scaling eigensolves."""
+    return double_center_out_of_place(-0.5 * D * D)
+
+
 def top_eigenpairs_dense(B: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Largest ``p`` eigenpairs (descending) from a full dense ``eigh``."""
     vals, vecs = np.linalg.eigh(B)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -163,6 +167,33 @@ class TestEmbedAndAlign:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("stresstune: error:") and "row 3" in err
+
+    def test_seqtrilat_on_a_huge_index_exits_1_at_once(self, tmp_path):
+        # The node count is the largest index + 1, about 9.2e18; one Python
+        # set per node would grow until memory ran out.
+        graph = tmp_path / "big.csv"
+        graph.write_text("i,j,d\n0,1,1.0\n0,9223372036854775806,1.0\n")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "stresstune.cli", "embed", "--method", "seqtrilat",
+             "--graph", str(graph), "--out", str(tmp_path / "o")],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("stresstune: error:")
+
+    def test_dense_step_beyond_physical_memory_exits_1(self, tmp_path, rng, monkeypatch, capsys):
+        import stresstune.core as core_module
+
+        self.make_instance(tmp_path, rng)
+        monkeypatch.setattr(core_module, "_physical_memory_bytes", lambda: 1024)
+        for method, step in [("mdsd", "mds_d"), ("cs", "embed --method cs")]:
+            code = run(["embed", "--method", method, "--graph", tmp_path / "graph.csv",
+                        "--out", tmp_path / method])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"stresstune: error: {step} at n=") and "GiB" in err
 
     def test_isomap_local_requires_points(self, tmp_path, rng):
         self.make_instance(tmp_path, rng)

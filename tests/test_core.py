@@ -1,4 +1,6 @@
+import os
 import pickle
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from scipy.sparse.linalg import ArpackNoConvergence
 
 import oracles
 import stresstune.core as core_module
+import stresstune.embed as embed_module
 from stresstune import (
     CityTable,
     Configuration,
@@ -15,17 +18,29 @@ from stresstune import (
     DissimilarityGraph,
     GlobalMap,
     RigidMap,
+    StressTuneError,
     affine_rank,
+    all_pairs_shortest_paths,
+    classical_scaling,
+    complete_noiseless_stress,
     double_center,
+    mds_d,
     pairwise_sq_distances,
     pseudo_inverse,
     read_configuration_csv,
     top_eigenpairs,
     write_configuration_csv,
 )
-from stresstune.core import EigenSolverError, _DENSE_EIGH_MAX_ORDER, _top_eigenpairs_array
+from stresstune.core import (
+    EigenSolverError,
+    _DENSE_EIGH_MAX_ORDER,
+    _double_center_array,
+    _physical_memory_bytes,
+    _symmetrize_in_place,
+    _top_eigenpairs_array,
+)
 from stresstune.embed import _classical_scaling_array
-from conftest import malformed_csv
+from conftest import block_budget, malformed_csv
 
 
 class TestConfiguration:
@@ -156,6 +171,111 @@ class TestDoubleCenter:
         evals = np.linalg.eigvalsh(B.values)
         norm = np.abs(evals).max()
         assert evals.min() >= -1e-8 * norm
+
+
+def bits(a: np.ndarray) -> bytes:
+    return np.ascontiguousarray(a).tobytes()
+
+
+def draw_matrix(seed: int, n: int, inf_share: float = 0.0) -> np.ndarray:
+    """An asymmetric n x n float matrix, a share of whose entries is ``+inf``."""
+    r = np.random.default_rng(seed)
+    W = r.standard_normal((n, n)) * 10.0 ** r.integers(-3, 4, size=(n, n))
+    W[r.uniform(size=(n, n)) < inf_share] = np.inf
+    return W
+
+
+class TestInPlaceKernels:
+    """The in-place row-block kernels against their out-of-place oracles, bit for bit.
+
+    Blocks of 1-8 rows make most orders span several blocks, the last one
+    partial.
+    """
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=hst.integers(0, 2**32 - 1), n=hst.integers(1, 40), rows=hst.integers(1, 8),
+           inf_share=hst.sampled_from([0.0, 0.1, 0.5, 1.0]))
+    def test_min_symmetrization_matches_oracle(self, seed, n, rows, inf_share):
+        W = draw_matrix(seed, n, inf_share)
+        with block_budget(n, rows):
+            got = _symmetrize_in_place(W.copy(), np.minimum)
+        assert bits(got) == bits(oracles.symmetrize_min(W))
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=hst.integers(0, 2**32 - 1), n=hst.integers(1, 40), rows=hst.integers(1, 8))
+    def test_double_centring_matches_oracle(self, seed, n, rows):
+        A = draw_matrix(seed, n)
+        with block_budget(n, rows):
+            got = _double_center_array(A.copy())
+        assert bits(got) == bits(oracles.double_center_out_of_place(A))
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=hst.integers(0, 2**32 - 1), n=hst.integers(2, 40), rows=hst.integers(1, 8))
+    def test_classical_scaling_gram_matches_oracle_and_spares_input(self, seed, n, rows):
+        r = np.random.default_rng(seed)
+        X = r.standard_normal((n, 2))
+        D = np.linalg.norm(X[:, None] - X[None], axis=2) * r.uniform(0.8, 1.2, size=(n, n))
+        D = np.minimum(D, D.T)
+        np.fill_diagonal(D, 0.0)
+        D.setflags(write=False)
+        before = bits(D)
+        seen = []
+
+        def spy(B, p):
+            seen.append(B.copy())
+            return _top_eigenpairs_array(B, p)
+
+        with block_budget(n, rows), mock.patch.object(embed_module, "_top_eigenpairs_array", spy):
+            _classical_scaling_array(D, 1)
+        assert bits(D) == before
+        assert bits(seen[0]) == bits(oracles.classical_scaling_gram(D))
+
+    def test_public_double_center_returns_a_new_matrix(self, rng):
+        m = rng.standard_normal((30, 30))
+        sym = DenseSymmetricMatrix((m + m.T) / 2)
+        before = bits(sym.values)
+        with block_budget(30, 7):
+            out = double_center(sym)
+        assert bits(sym.values) == before
+        assert bits(out.values) == bits(oracles.double_center_out_of_place(sym.values))
+
+    def test_default_budget_partial_last_block(self, rng):
+        # 600 columns: the 2 MiB default holds 436 rows, so two blocks, the last partial.
+        n = 600
+        assert n % (core_module._DENSE_BLOCK_BYTES // (8 * n)) != 0
+        W = rng.standard_normal((n, n))
+        assert bits(_symmetrize_in_place(W.copy(), np.minimum)) == bits(oracles.symmetrize_min(W))
+        assert bits(_double_center_array(W.copy())) == bits(oracles.double_center_out_of_place(W))
+
+
+class TestDenseMemoryGuard:
+    """Dense n x n steps refuse up front when they cannot fit in physical memory."""
+
+    def test_probe_reads_physical_memory(self, monkeypatch):
+        total = _physical_memory_bytes()
+        assert total is None or total > 0
+        monkeypatch.delattr(os, "sysconf")
+        assert _physical_memory_bytes() is None
+
+    def test_each_dense_step_refuses(self, monkeypatch):
+        g = DissimilarityGraph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (0, 3, 1.0)])
+        D = all_pairs_shortest_paths(g)
+        config = Configuration(np.arange(8.0).reshape(4, 2))
+        steps = {
+            "mds_d": lambda: mds_d(g, 2),
+            "all_pairs_shortest_paths": lambda: all_pairs_shortest_paths(g),
+            "classical_scaling": lambda: classical_scaling(D, 2),
+            "complete_noiseless_stress": lambda: complete_noiseless_stress(config, config),
+        }
+        # One dense 4 x 4 array is 128 bytes, more than the 100 installed.
+        monkeypatch.setattr(core_module, "_physical_memory_bytes", lambda: 100)
+        for step, call in steps.items():
+            with pytest.raises(StressTuneError, match=rf"^{step} at n=4 needs at least .* GiB"):
+                call()
+        # Where the probe cannot tell, nothing is refused.
+        monkeypatch.setattr(core_module, "_physical_memory_bytes", lambda: None)
+        for call in steps.values():
+            call()
 
 
 class TestTopEigenpairs:

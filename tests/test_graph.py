@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 import oracles
+import stresstune.core as core_module
 import stresstune.graph as graph_module
 import stresstune.stitch as stitch_module
 from stresstune import (
@@ -24,8 +26,11 @@ from stresstune import (
     read_edge_csv,
     write_edge_csv,
 )
-from stresstune.graph import _FLOYD_WARSHALL_MAX_ORDER, shortest_paths_csr
-from conftest import malformed_csv
+from scipy.sparse.csgraph import dijkstra as scipy_dijkstra
+
+from stresstune.embed import _classical_scaling_array
+from stresstune.graph import _FLOYD_WARSHALL_MAX_ORDER, _dijkstra_csr, shortest_paths_csr
+from conftest import block_budget, malformed_csv
 
 
 def line_config(*xs):
@@ -291,9 +296,9 @@ class TestHopBalls:
     @settings(max_examples=150, deadline=None)
     @given(g=small_graphs(), h=hst.integers(1, 32), block=hst.integers(1, 8))
     def test_matches_thresholded_hop_distances(self, g, h, block):
-        # h up to 32 >= n - 1 covers h at or beyond every diameter; blocks of
+        # h up to 32 >= n - 1 covers h at or beyond every diameter; budgets of
         # 1-8 sources make most graphs span several blocks, the last partial.
-        with mock.patch.object(graph_module, "_HOP_BALL_BLOCK", block):
+        with block_budget(g.n, block):
             balls = hop_balls(g, h)
         assert balls.shape == (g.n, g.n)
         assert balls.has_sorted_indices
@@ -301,11 +306,33 @@ class TestHopBalls:
         np.testing.assert_array_equal(balls.toarray(), hops <= h)
 
     def test_default_block_size_partial_last_block(self, rng):
-        n = 2 * graph_module._HOP_BALL_BLOCK + 37
+        # At 549 nodes the default budget holds 477 sources per block, so the
+        # second block is partial; a budget of 256 sources gives three blocks.
+        n = 549
+        step = core_module._DENSE_BLOCK_BYTES // (8 * n)
+        assert 1 < step < n and n % step
         g = random_graph(rng, n, avg_degree=3.0)
         H = oracles.bfs_hop_matrix(n, edge_triples(g))
         for h in (1, 3):
             np.testing.assert_array_equal(hop_balls(g, h).toarray(), H <= h)
+            with block_budget(n, 256):
+                np.testing.assert_array_equal(hop_balls(g, h).toarray(), H <= h)
+
+    def test_memory_is_one_block_plus_the_output(self, rng):
+        # One block's distance rows and their finiteness mask (1.25 budgets)
+        # plus a few times the output: the sources' rows and columns, the
+        # per-block int32 columns and their concatenation. Whole blocks of
+        # 256 sources, two alive at once, took about 22 MB here against 4 MB.
+        g = knn_graph(Configuration(rng.uniform(size=(5000, 2))), 10)
+        g._adj_csr()
+        tracemalloc.start()
+        try:
+            balls = hop_balls(g, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        out = balls.indices.nbytes + balls.data.nbytes + balls.indptr.nbytes
+        assert peak <= 1.25 * core_module._DENSE_BLOCK_BYTES + 4 * out
 
     def test_trailing_isolated_nodes_are_their_own_balls(self):
         g = DissimilarityGraph(5, [(0, 1, 1.0), (1, 2, 1.0)])
@@ -434,6 +461,32 @@ class TestShortestPathsDispatch:
         if split:
             half = m // 2
             assert np.isinf(D[:half, half:]).all()
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=hst.integers(0, 2**32 - 1), m=hst.integers(4, 40), rows=hst.integers(1, 8),
+           split=hst.booleans())
+    def test_dijkstra_symmetrizes_in_place_bit_for_bit(self, seed, m, rows, split):
+        # Float weights make the two directions differ in the last bits, and
+        # split graphs add inf entries.
+        sub = patch_graph(seed, m, integer=False, split=split)._adj_csr()
+        want = oracles.symmetrize_min(scipy_dijkstra(sub, directed=True))
+        with block_budget(sub.shape[0], rows):
+            got = _dijkstra_csr(sub)
+        assert got.tobytes() == want.tobytes()
+
+    def test_completion_and_scaling_hold_two_dense_arrays(self, rng):
+        # The completion and classical scaling's one work array, plus row
+        # blocks of scratch; the out-of-place expressions held four m x m arrays.
+        m = 1200
+        g = knn_graph(Configuration(rng.uniform(size=(m, 2))), 10)
+        sub = g._adj_csr()
+        tracemalloc.start()
+        try:
+            _classical_scaling_array(shortest_paths_csr(sub), 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 8 * m * m
 
     def test_floyd_warshall_branch_on_small_orders(self):
         sub = patch_graph(0, 20, integer=True, split=False)._adj_csr()

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -100,6 +102,16 @@ class TestFindOrdering:
                 assert find_trilaterative_ordering(g, 2) is None
         found = find_trilaterative_ordering(g, 2)
         assert found is None or verify_trilaterative_ordering(g, found)
+
+    def test_disconnected_graph_has_none_without_a_cap_warning(self, monkeypatch):
+        # Two disjoint K4s: no closure crosses components, so the search
+        # stops before enumerating seeds, even under a cap of 1.
+        k4 = [(i, j, 1.0) for i in range(4) for j in range(i + 1, 4)]
+        g = DissimilarityGraph(8, k4 + [(i + 4, j + 4, w) for i, j, w in k4])
+        monkeypatch.setattr(rigidity_module, "DEFAULT_SEED_CLIQUE_CAP", 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert find_trilaterative_ordering(g, 2) is None
 
     def test_skips_seed_that_violates_triangle_inequality(self, rng):
         # Exact distances on six points, except that d(1, 2) exceeds
