@@ -124,19 +124,28 @@ class DenseSymmetricMatrix:
         v = np.array(self.values, dtype=np.float64, order="C", copy=True)
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
             raise ValueError("matrix must be square")
-        if np.isnan(v).any():
+        # One row block at a time, so the copy is the only n x n array held.
+        nan = neginf = inf = False
+        gap = 0.0
+        for rows in _row_blocks(v.shape[0]):
+            block = v[rows]
+            nan = nan or bool(np.isnan(block).any())
+            neginf = neginf or bool(np.isneginf(block).any())
+            inf = inf or bool(np.isinf(block).any())
+            # The gap is symmetric, so the block's upper part and its mirror cover it.
+            upper, lower = v[rows, rows.start :], v[rows.start :, rows].T
+            # Pairs infinite on both sides count as a zero gap.
+            finite_pair = ~(np.isinf(upper) & np.isinf(lower))
+            diff = np.subtract(upper, lower, out=np.zeros(upper.shape), where=finite_pair)
+            gap = max(gap, float(np.abs(diff, out=diff).max(initial=0.0)))
+        if nan:
             raise ValueError("matrix entries must not be NaN")
-        if np.isneginf(v).any():
+        if neginf:
             raise ValueError("matrix entries must not be -inf")
-        if not self.allow_infinite and np.isinf(v).any():
+        if not self.allow_infinite and inf:
             raise ValueError("infinite entries are not permitted here")
-        both_inf = np.isinf(v) & np.isinf(v.T)
-        masked = np.where(both_inf, 0.0, v)
-        gap = np.abs(masked - masked.T)
-        if gap.max(initial=0.0) > SYMMETRY_ATOL:
-            raise ValueError(
-                f"matrix is not symmetric within {SYMMETRY_ATOL:g} (max gap {gap.max():g})"
-            )
+        if gap > SYMMETRY_ATOL:
+            raise ValueError(f"matrix is not symmetric within {SYMMETRY_ATOL:g} (max gap {gap:g})")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
@@ -187,42 +196,12 @@ class RigidMap:
         return Configuration(self.apply(config.points))
 
 
-def pairwise_sq_distances(config: Configuration) -> DenseSymmetricMatrix:
-    """Matrix of squared Euclidean distances ``||x_i - x_j||^2``.
-
-    Computed from coordinate differences (not a Gram-matrix identity), so
-    entries are exactly symmetric and the diagonal is exactly zero.
-    """
-    X = config.points
-    n, p = X.shape
-    out = np.empty((n, n))
-    block = max(1, int(4_000_000 // max(1, n * p)))
-    for s in range(0, n, block):
-        d = X[s : s + block, None, :] - X[None, :, :]
-        out[s : s + block] = np.einsum("ijk,ijk->ij", d, d)
-    np.fill_diagonal(out, 0.0)
-    return DenseSymmetricMatrix(out)
-
-
-def double_center(matrix: DenseSymmetricMatrix) -> DenseSymmetricMatrix:
-    """Subtract row and column means and add back the grand mean.
-
-    For symmetric input the column means equal the row means, so a single
-    mean vector is used; the result is re-symmetrized to keep the strict
-    symmetry invariant under floating-point reassociation.
-    """
-    A = matrix.values
-    if matrix.allow_infinite and np.isinf(A).any():
-        raise ValueError("cannot double-center a matrix with infinite entries")
-    return DenseSymmetricMatrix(_double_center_array(A.copy()))
-
-
 def _row_blocks(n: int):
     """Consecutive row slices of an ``n``-column float64 array, at most ``_DENSE_BLOCK_BYTES`` each.
 
     A block holds at least one row, and the last one may be partial.
     """
-    step = max(1, _DENSE_BLOCK_BYTES // (8 * n))
+    step = max(1, _DENSE_BLOCK_BYTES // (8 * max(n, 1)))
     for start in range(0, n, step):
         yield slice(start, min(start + step, n))
 
@@ -276,20 +255,6 @@ def _top_eigenpairs_array(B: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray
         raise EigenSolverError(f"eigendecomposition did not converge: {exc}") from exc
     # Both solvers return ascending eigenvalues.
     return vals[::-1].copy(), vecs[:, ::-1].copy()
-
-
-def top_eigenpairs(matrix: DenseSymmetricMatrix, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Largest ``p`` eigenvalues (descending) and matching orthonormal eigenvectors.
-
-    Returns ``(values, vectors)`` with ``values`` of shape (p,) and
-    ``vectors`` of shape (k, p), one eigenvector per column.
-    """
-    if np.isinf(matrix.values).any():
-        raise ValueError("matrix must have finite entries")
-    k = matrix.order
-    if not 1 <= p <= k:
-        raise ValueError(f"p must be in [1, {k}], got {p}")
-    return _top_eigenpairs_array(matrix.values, p)
 
 
 def pseudo_inverse(Y: np.ndarray) -> np.ndarray:

@@ -17,7 +17,6 @@ import os
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse import triu as sparse_triu
 from scipy.sparse.csgraph import connected_components as _csgraph_components
 from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 from scipy.sparse.csgraph import floyd_warshall as _csgraph_floyd_warshall
@@ -59,9 +58,7 @@ class DissimilarityGraph:
             ei, ej, w = edges
         else:
             triples = [(int(a), int(b), float(d)) for a, b, d in edges]
-            ei = np.array([t[0] for t in triples], dtype=np.int64)
-            ej = np.array([t[1] for t in triples], dtype=np.int64)
-            w = np.array([t[2] for t in triples], dtype=np.float64)
+            ei, ej, w = ([t[c] for t in triples] for c in range(3))
         ei = np.asarray(ei, dtype=np.int64)
         ej = np.asarray(ej, dtype=np.int64)
         w = np.asarray(w, dtype=np.float64)
@@ -127,8 +124,7 @@ class DissimilarityGraph:
         return float(w[pos])
 
     def degrees(self) -> np.ndarray:
-        adj = self._adj_csr()
-        return np.diff(adj.indptr)
+        return np.diff(self._adj_csr().indptr)
 
 
 def _union_knn_pairs(nearest: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -159,8 +155,7 @@ def knn_graph(config: Configuration, k: int) -> DissimilarityGraph:
     if n <= k:
         raise ValueError(f"need n > k, got n={n}, k={k}")
     X = config.points
-    tree = cKDTree(X)
-    _, idx = tree.query(X, k=k + 1)
+    _, idx = cKDTree(X).query(X, k=k + 1)
     ei, ej = _union_knn_pairs(np.atleast_2d(idx).astype(np.int64), k)
     if not ei.size:
         raise StressTuneError("k-NN construction produced no edges")
@@ -188,12 +183,9 @@ def radius_graph(config: Configuration, r: float) -> DissimilarityGraph:
     if not (r > 0):
         raise ValueError("r must be positive")
     X = config.points
-    tree = cKDTree(X)
-    pairs = sorted(tree.query_pairs(r))
-    ei = np.array([a for a, _ in pairs], dtype=np.int64)
-    ej = np.array([b for _, b in pairs], dtype=np.int64)
-    w = np.linalg.norm(X[ei] - X[ej], axis=1) if pairs else np.zeros(0)
-    return DissimilarityGraph(config.n, (ei, ej, w))
+    # Pairs i < j in the tree's order; the graph sorts its edges itself.
+    ei, ej = cKDTree(X).query_pairs(r, output_type="ndarray").astype(np.int64).T
+    return DissimilarityGraph(config.n, (ei, ej, np.linalg.norm(X[ei] - X[ej], axis=1)))
 
 
 def min_connectivity_radius(config: Configuration) -> float:
@@ -287,32 +279,42 @@ def connected_components(g: DissimilarityGraph) -> list[list[int]]:
     Components are ordered by their smallest member; members are ascending.
     """
     _, labels = _csgraph_components(g._adj_csr(), directed=False)
-    groups: dict[int, list[int]] = {}
-    for node, lab in enumerate(labels):
-        groups.setdefault(int(lab), []).append(node)
-    return sorted(groups.values(), key=lambda c: c[0])
+    # Nodes grouped by label, ascending within each group.
+    groups = np.split(np.argsort(labels, kind="stable"), np.cumsum(np.bincount(labels))[:-1])
+    return sorted((c.tolist() for c in groups), key=lambda c: c[0])
 
 
 def is_connected(g: DissimilarityGraph) -> bool:
-    count, _ = _csgraph_components(g._adj_csr(), directed=False)
-    return count == 1
+    return _csgraph_components(g._adj_csr(), directed=False)[0] == 1
 
 
-def induced_subgraph_csr(g: DissimilarityGraph, members: np.ndarray) -> csr_matrix:
-    """CSR adjacency of the induced subgraph, rows/cols in ``members`` order."""
-    sub = g._adj_csr()[members][:, members]
-    return sub.tocsr()
+def _row_positions(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions in a CSR's ``indices``/``data`` of the rows ``rows``, concatenated, and each row's length."""
+    starts = indptr[rows]
+    lengths = indptr[rows + 1] - starts
+    # Row r's entries begin at starts[r] of the CSR and at offsets[r] of the output.
+    offsets = np.cumsum(lengths) - lengths
+    return np.arange(lengths.sum()) + np.repeat(starts - offsets, lengths), lengths
 
 
-def subgraph_edges(sub: csr_matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Unique edges (i < j) of a symmetric CSR adjacency, with true weights."""
-    upper = sparse_triu(sub, k=1).tocoo()
-    order = np.lexsort((upper.col, upper.row))
-    return (
-        upper.row[order].astype(np.int64),
-        upper.col[order].astype(np.int64),
-        upper.data[order].astype(np.float64),
-    )
+def induced_subgraph_csr(g: DissimilarityGraph, members: np.ndarray) -> tuple[csr_matrix, tuple]:
+    """CSR adjacency of the subgraph induced by ascending ``members``, and its edge list.
+
+    Row and column ``a`` is node ``members[a]``. The edge list ``(ei, ej, w)``
+    holds each edge once, ``ei < ej``, in lexicographic order. Both come
+    straight from the members' rows of the cached adjacency.
+    """
+    adj, m = g._adj_csr(), members.size
+    pos, lengths = _row_positions(adj.indptr, members)
+    nbrs = adj.indices[pos]
+    cols = np.searchsorted(members, nbrs)
+    inside = members[np.minimum(cols, m - 1)] == nbrs
+    rows = np.repeat(np.arange(m), lengths)[inside]
+    cols, w = cols[inside], adj.data[pos[inside]]
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=m))])
+    # Rows ascend, and columns within each row, so the upper triangle is in lexicographic order.
+    upper = rows < cols
+    return csr_matrix((w, cols, indptr), shape=(m, m)), (rows[upper], cols[upper], w[upper])
 
 
 def _dijkstra_csr(adj: csr_matrix) -> np.ndarray:

@@ -32,11 +32,11 @@ from .embed import (
 )
 from .graph import (
     DissimilarityGraph,
+    _row_positions,
     hop_balls,
     induced_subgraph_csr,
     is_connected,
     shortest_paths_csr,
-    subgraph_edges,
 )
 
 
@@ -90,13 +90,12 @@ def _embed_members(
     m = members.size
     if m < p + 1:
         raise PatchError(f"patch at node {center} has {m} nodes; need at least {p + 1}")
-    sub = induced_subgraph_csr(g, members)
+    sub, (ei, ej, w) = induced_subgraph_csr(g, members)
     local_D = shortest_paths_csr(sub)
     if np.isinf(local_D).any():
         raise PatchError(f"patch at node {center} is internally disconnected")
     Y = _classical_scaling_array(local_D, p)
     if refine:
-        ei, ej, w = subgraph_edges(sub)
         Y, _ = _smacof(m, ei, ej, w, Y, SMACOF_MAX_ITER, SMACOF_TOL)
     return Y
 
@@ -149,9 +148,9 @@ def _merge_plan(balls: csr_matrix, p: int):
     n = balls.shape[0]
     sizes = np.diff(balls.indptr)
     placed = np.zeros(n, dtype=bool)
-    processed = np.zeros(n, dtype=bool)
-    # counts[u] = placed members of u's ball. Balls are symmetric, so placing
-    # w raises the count of exactly the nodes in w's ball.
+    # counts[u] = placed members of u's ball, or below zero once u has merged
+    # (it is reset to -n - 1 and can rise by at most n). Balls are symmetric,
+    # so placing w raises the count of exactly the nodes in w's ball.
     counts = np.zeros(n, dtype=np.int64)
     v = int(np.argmax(sizes))
     overlap = 0
@@ -160,14 +159,13 @@ def _merge_plan(balls: csr_matrix, p: int):
         members = balls.indices[balls.indptr[v] : balls.indptr[v + 1]]
         newly = members[~placed[members]]
         placed[newly] = True
-        processed[v] = True
         if newly.size:
-            counts += np.bincount(balls[newly].indices, minlength=n)
+            counts += np.bincount(balls.indices[_row_positions(balls.indptr, newly)[0]], minlength=n)
+        counts[v] = -n - 1
         if placed.all():
             return
-        cand = np.where(processed, -1, counts)
-        v = int(np.argmax(cand))
-        overlap = int(cand[v])
+        v = int(np.argmax(counts))
+        overlap = int(counts[v])
         if overlap < p + 1:
             missing = np.flatnonzero(~placed)
             listed = ", ".join(str(u) for u in missing[:8])

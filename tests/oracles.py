@@ -15,6 +15,7 @@ import math
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+from scipy.sparse import triu
 from scipy.sparse.csgraph import shortest_path
 
 from stresstune import (
@@ -66,6 +67,43 @@ def completion_dijkstra(sub) -> np.ndarray:
     """
     D = shortest_path(sub, method="D", directed=False)
     return np.minimum(D, D.T)
+
+
+def induced_subgraph_scipy(adj, members: np.ndarray):
+    """A patch's CSR and ``i < j`` edge list through scipy's indexing and format conversions.
+
+    The chain every patch went through before its rows were gathered from
+    the CSR arrays: a double fancy index, then ``triu``, ``tocoo``, a
+    lexicographic sort and the casts.
+    """
+    sub = adj[members][:, members].tocsr()
+    upper = triu(sub, k=1).tocoo()
+    order = np.lexsort((upper.col, upper.row))
+    return sub, (
+        upper.row[order].astype(np.int64),
+        upper.col[order].astype(np.int64),
+        upper.data[order].astype(np.float64),
+    )
+
+
+def symmetric_matrix_error(values: np.ndarray, allow_infinite: bool) -> str | None:
+    """The message ``DenseSymmetricMatrix`` rejects a square array with, or None, checked whole-matrix.
+
+    The symmetry tolerance is the contract's ``SYMMETRY_ATOL``, 1e-12.
+    """
+    v = np.asarray(values, dtype=np.float64)
+    if np.isnan(v).any():
+        return "matrix entries must not be NaN"
+    if np.isneginf(v).any():
+        return "matrix entries must not be -inf"
+    if not allow_infinite and np.isinf(v).any():
+        return "infinite entries are not permitted here"
+    both_inf = np.isinf(v) & np.isinf(v.T)
+    masked = np.where(both_inf, 0.0, v)
+    gap = np.abs(masked - masked.T)
+    if gap.max(initial=0.0) > 1e-12:
+        return f"matrix is not symmetric within {1e-12:g} (max gap {gap.max():g})"
+    return None
 
 
 def symmetrize_min(D: np.ndarray) -> np.ndarray:

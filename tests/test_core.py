@@ -1,5 +1,6 @@
 import os
 import pickle
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -23,12 +24,10 @@ from stresstune import (
     all_pairs_shortest_paths,
     classical_scaling,
     complete_noiseless_stress,
-    double_center,
+    knn_graph,
     mds_d,
-    pairwise_sq_distances,
     pseudo_inverse,
     read_configuration_csv,
-    top_eigenpairs,
     write_configuration_csv,
 )
 from stresstune.core import (
@@ -40,6 +39,7 @@ from stresstune.core import (
     _top_eigenpairs_array,
 )
 from stresstune.embed import _classical_scaling_array
+from stresstune.tune import _edge_sq_dists
 from conftest import block_budget, malformed_csv
 
 
@@ -102,6 +102,44 @@ class TestDenseSymmetricMatrix:
         with pytest.raises(ValueError):
             DenseSymmetricMatrix(m, allow_infinite=True)
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=hst.integers(0, 2**32 - 1),
+        n=hst.integers(1, 24),
+        rows=hst.integers(1, 8),
+        allow_infinite=hst.booleans(),
+        flaws=hst.lists(hst.sampled_from(["nan", "-inf", "inf", "inf pair", "gap", "tiny gap"]), max_size=3),
+    )
+    def test_row_blocks_match_whole_matrix_checks(self, seed, n, rows, allow_infinite, flaws):
+        # Blocks of 1-8 rows put the flaws in different blocks, so the first
+        # block met must not decide which error is raised, and the max gap
+        # is taken over every block.
+        r = np.random.default_rng(seed)
+        m = r.standard_normal((n, n))
+        A = (m + m.T) / 2
+        for flaw in flaws:
+            i, j = r.integers(n, size=2)
+            if flaw == "nan":
+                A[i, j] = np.nan
+            elif flaw == "-inf":
+                A[i, j] = -np.inf
+            elif flaw == "inf":
+                A[i, j] = np.inf
+            elif flaw == "inf pair":
+                A[i, j] = A[j, i] = np.inf
+            elif flaw == "gap":
+                A[i, j] += 10.0 ** r.integers(-11, 1)
+            else:
+                A[i, j] += 1e-13
+        want = oracles.symmetric_matrix_error(A, allow_infinite)
+        with block_budget(n, rows):
+            if want is None:
+                assert bits(DenseSymmetricMatrix(A, allow_infinite).values) == bits(A)
+            else:
+                with pytest.raises(ValueError) as exc:
+                    DenseSymmetricMatrix(A, allow_infinite)
+                assert str(exc.value) == want
+
 
 class TestRigidMap:
     def test_apply_rotation_and_shift(self):
@@ -119,56 +157,54 @@ class TestRigidMap:
         assert RigidMap(mirror, np.zeros(2)).p == 2
 
 
+def all_pair_sq_dists(points) -> np.ndarray:
+    """Squared distances of every pair ``i < j``, from the kernel that stress sums."""
+    X = np.asarray(points, dtype=np.float64)
+    iu, ju = np.triu_indices(X.shape[0], k=1)
+    return _edge_sq_dists(X, iu, ju)
+
+
 class TestPairwiseSqDistances:
     def test_three_four_five_triangle(self):
-        cfg = Configuration([[0.0, 0.0], [3.0, 4.0]])
-        np.testing.assert_array_equal(
-            pairwise_sq_distances(cfg).values, [[0.0, 25.0], [25.0, 0.0]]
-        )
+        np.testing.assert_array_equal(all_pair_sq_dists([[0.0, 0.0], [3.0, 4.0]]), [25.0])
 
     def test_single_point(self):
-        out = pairwise_sq_distances(Configuration([[2.0, 7.0]]))
-        np.testing.assert_array_equal(out.values, [[0.0]])
+        assert all_pair_sq_dists([[2.0, 7.0]]).size == 0
 
     def test_matches_double_loop(self, rng):
         pts = rng.standard_normal((5, 2))
-        got = pairwise_sq_distances(Configuration(pts)).values
-        np.testing.assert_allclose(got, oracles.sq_dist_double_loop(pts), atol=1e-12)
+        want = oracles.sq_dist_double_loop(pts)[np.triu_indices(5, k=1)]
+        np.testing.assert_allclose(all_pair_sq_dists(pts), want, atol=1e-12)
 
     def test_rigid_invariance(self, rng):
         pts = rng.standard_normal((8, 3))
         Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
         moved = pts @ Q.T + rng.standard_normal(3)
-        a = pairwise_sq_distances(Configuration(pts)).values
-        b = pairwise_sq_distances(Configuration(moved)).values
-        np.testing.assert_allclose(b, a, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(all_pair_sq_dists(moved), all_pair_sq_dists(pts), rtol=1e-9, atol=1e-12)
 
 
 class TestDoubleCenter:
     def test_constant_matrix_goes_to_zero(self):
-        out = double_center(DenseSymmetricMatrix(np.full((4, 4), 3.7)))
-        np.testing.assert_allclose(out.values, 0.0, atol=1e-12)
+        out = _double_center_array(np.full((4, 4), 3.7))
+        np.testing.assert_allclose(out, 0.0, atol=1e-12)
 
     def test_idempotent(self, rng):
         m = rng.standard_normal((6, 6))
-        sym = DenseSymmetricMatrix((m + m.T) / 2)
-        once = double_center(sym)
-        twice = double_center(once)
-        np.testing.assert_allclose(twice.values, once.values, atol=1e-12)
+        once = _double_center_array((m + m.T) / 2)
+        twice = _double_center_array(once.copy())
+        np.testing.assert_allclose(twice, once, atol=1e-12)
 
     def test_hand_three_by_three(self):
         # Hand evaluation of b_ij = a_ij - rowmean_i - rowmean_j + grand mean
         # on [[0,1,4],[1,0,1],[4,1,0]]: row means (5/3, 2/3, 5/3), grand 4/3.
-        out = double_center(DenseSymmetricMatrix([[0.0, 1.0, 4.0], [1.0, 0.0, 1.0], [4.0, 1.0, 0.0]]))
-        np.testing.assert_allclose(
-            out.values, [[-2.0, 0.0, 2.0], [0.0, 0.0, 0.0], [2.0, 0.0, -2.0]], atol=1e-12
-        )
-        assert np.abs(out.values.sum(axis=0)).max() < 1e-12
+        out = _double_center_array(np.array([[0.0, 1.0, 4.0], [1.0, 0.0, 1.0], [4.0, 1.0, 0.0]]))
+        np.testing.assert_allclose(out, [[-2.0, 0.0, 2.0], [0.0, 0.0, 0.0], [2.0, 0.0, -2.0]], atol=1e-12)
+        assert np.abs(out.sum(axis=0)).max() < 1e-12
 
     def test_gram_from_realizable_distances_is_psd(self, rng):
         pts = rng.standard_normal((12, 3))
-        B = double_center(DenseSymmetricMatrix(-0.5 * oracles.sq_dist_double_loop(pts)))
-        evals = np.linalg.eigvalsh(B.values)
+        B = _double_center_array(-0.5 * oracles.sq_dist_double_loop(pts))
+        evals = np.linalg.eigvalsh(B)
         norm = np.abs(evals).max()
         assert evals.min() >= -1e-8 * norm
 
@@ -230,15 +266,6 @@ class TestInPlaceKernels:
         assert bits(D) == before
         assert bits(seen[0]) == bits(oracles.classical_scaling_gram(D))
 
-    def test_public_double_center_returns_a_new_matrix(self, rng):
-        m = rng.standard_normal((30, 30))
-        sym = DenseSymmetricMatrix((m + m.T) / 2)
-        before = bits(sym.values)
-        with block_budget(30, 7):
-            out = double_center(sym)
-        assert bits(sym.values) == before
-        assert bits(out.values) == bits(oracles.double_center_out_of_place(sym.values))
-
     def test_default_budget_partial_last_block(self, rng):
         # 600 columns: the 2 MiB default holds 436 rows, so two blocks, the last partial.
         n = 600
@@ -277,22 +304,35 @@ class TestDenseMemoryGuard:
         for call in steps.values():
             call()
 
+    def test_shortest_paths_hold_the_two_arrays_the_guard_counts(self, rng):
+        # The completion and the matrix's validated copy, plus row blocks of
+        # checks; whole-matrix masks and gaps took 5.15 x 8n^2 here.
+        g = knn_graph(Configuration(rng.uniform(size=(1260, 2))), 15)
+        g._adj_csr()
+        tracemalloc.start()
+        try:
+            all_pairs_shortest_paths(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 8 * g.n**2
+
 
 class TestTopEigenpairs:
     def test_identity_spectrum(self):
-        vals, vecs = top_eigenpairs(DenseSymmetricMatrix(np.eye(3)), 2)
+        vals, vecs = _top_eigenpairs_array(np.eye(3), 2)
         np.testing.assert_allclose(vals, [1.0, 1.0])
         np.testing.assert_allclose(vecs.T @ vecs, np.eye(2), atol=1e-12)
 
     def test_diagonal_matrix(self):
-        vals, vecs = top_eigenpairs(DenseSymmetricMatrix(np.diag([5.0, 2.0, 1.0])), 1)
+        vals, vecs = _top_eigenpairs_array(np.diag([5.0, 2.0, 1.0]), 1)
         np.testing.assert_allclose(vals, [5.0])
         np.testing.assert_allclose(np.abs(vecs[:, 0]), [1.0, 0.0, 0.0], atol=1e-12)
 
     def test_residual_and_full_solver_agreement(self, rng):
         m = rng.standard_normal((6, 6))
         B = (m + m.T) / 2
-        vals, vecs = top_eigenpairs(DenseSymmetricMatrix(B), 3)
+        vals, vecs = _top_eigenpairs_array(B, 3)
         for k in range(3):
             assert np.linalg.norm(B @ vecs[:, k] - vals[k] * vecs[:, k]) < 1e-8
         full = np.sort(np.linalg.eigvalsh(B))[::-1]
@@ -303,17 +343,11 @@ class TestTopEigenpairs:
         n = _DENSE_EIGH_MAX_ORDER + 8
         m = rng.standard_normal((n, n))
         B = (m + m.T) / 2
-        vals, vecs = top_eigenpairs(DenseSymmetricMatrix(B), 2)
+        vals, vecs = _top_eigenpairs_array(B, 2)
         full = np.sort(np.linalg.eigvalsh(B))[::-1]
         np.testing.assert_allclose(vals, full[:2], atol=1e-8)
         for k in range(2):
             assert np.linalg.norm(B @ vecs[:, k] - vals[k] * vecs[:, k]) < 1e-8 * n
-
-    def test_p_out_of_range(self):
-        with pytest.raises(ValueError):
-            top_eigenpairs(DenseSymmetricMatrix(np.eye(3)), 4)
-        with pytest.raises(ValueError):
-            top_eigenpairs(DenseSymmetricMatrix(np.eye(3)), 0)
 
 
 def canonical_signs(vecs: np.ndarray) -> np.ndarray:
@@ -348,7 +382,7 @@ class TestEigenpairDispatch:
     @given(seed=hst.integers(0, 2**32 - 1), k=hst.sampled_from([T - 1, T, T + 1]), p=hst.integers(1, 3))
     def test_matches_dense_oracle(self, seed, k, p):
         D = self.noisy_distances(seed, k, p)
-        B = double_center(DenseSymmetricMatrix(-0.5 * D * D)).values
+        B = oracles.classical_scaling_gram(D)
         vals, vecs = _top_eigenpairs_array(B, p)
         want_vals, want_vecs = oracles.top_eigenpairs_dense(B, p)
         np.testing.assert_allclose(vals, want_vals, rtol=1e-10)
@@ -366,7 +400,7 @@ class TestEigenpairDispatch:
         # ARPACK's default random start advances with every call in the
         # process, which would make the last bits depend on earlier solves.
         D = self.noisy_distances(3, self.T + 40, 2)
-        B = double_center(DenseSymmetricMatrix(-0.5 * D * D)).values
+        B = oracles.classical_scaling_gram(D)
         first = _top_eigenpairs_array(B, 2)
         _top_eigenpairs_array(B[:-5, :-5], 2)
         second = _top_eigenpairs_array(B, 2)
@@ -380,7 +414,7 @@ class TestEigenpairDispatch:
         monkeypatch.setattr(core_module, "eigsh", stalled)
         D = self.noisy_distances(0, self.T + 1, 2)
         with pytest.raises(EigenSolverError):
-            top_eigenpairs(DenseSymmetricMatrix(-0.5 * D * D), 2)
+            _top_eigenpairs_array(-0.5 * D * D, 2)
 
     def test_dense_failure_is_eigensolver_error(self, monkeypatch):
         def failed(*args, **kwargs):
@@ -388,7 +422,7 @@ class TestEigenpairDispatch:
 
         monkeypatch.setattr(np.linalg, "eigh", failed)
         with pytest.raises(EigenSolverError):
-            top_eigenpairs(DenseSymmetricMatrix(np.eye(self.T)), 2)
+            _top_eigenpairs_array(np.eye(self.T), 2)
 
 
 class TestPseudoInverse:

@@ -29,7 +29,13 @@ from stresstune import (
 from scipy.sparse.csgraph import dijkstra as scipy_dijkstra
 
 from stresstune.embed import _classical_scaling_array
-from stresstune.graph import _FLOYD_WARSHALL_MAX_ORDER, _dijkstra_csr, shortest_paths_csr
+from stresstune.graph import (
+    _FLOYD_WARSHALL_MAX_ORDER,
+    _dijkstra_csr,
+    _row_positions,
+    induced_subgraph_csr,
+    shortest_paths_csr,
+)
 from conftest import block_budget, malformed_csv
 
 
@@ -493,6 +499,60 @@ class TestShortestPathsDispatch:
         with mock.patch.object(graph_module, "_dijkstra_csr", side_effect=AssertionError):
             D = shortest_paths_csr(sub)
         np.testing.assert_array_equal(D, oracles.completion_dijkstra(sub))
+
+
+def same_array(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def patch_members(g: DissimilarityGraph, kind: str, seed: int) -> np.ndarray:
+    """Ascending int64 members: a random subset, one node, an independent set, or every node."""
+    r = np.random.default_rng(seed)
+    if kind == "all":
+        return np.arange(g.n)
+    if kind == "single":
+        return np.array([r.integers(g.n)])
+    if kind == "independent":
+        taken = np.zeros(g.n, dtype=bool)
+        for v in r.permutation(g.n):
+            taken[v] = not taken[g.neighbors(v)[0]].any()
+        return np.flatnonzero(taken)
+    return np.sort(r.choice(g.n, size=r.integers(1, g.n + 1), replace=False))
+
+
+class TestInducedSubgraph:
+    """Patches gathered from the CSR arrays against scipy's indexing chain, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=hst.integers(0, 2**32 - 1),
+        n=hst.integers(2, 60),
+        kind=hst.sampled_from(["subset", "single", "independent", "all"]),
+        split=hst.booleans(),
+    )
+    def test_matches_scipy_chain(self, seed, n, kind, split):
+        # About a sixth of the weights are zero: stored zeros stay edges.
+        g = patch_graph(seed, n, integer=False, split=split)
+        members = patch_members(g, kind, seed)
+        sub, edges = induced_subgraph_csr(g, members)
+        want, want_edges = oracles.induced_subgraph_scipy(g._adj_csr(), members)
+        assert sub.shape == want.shape == (members.size, members.size)
+        for got, expected in [(sub.indptr, want.indptr), (sub.indices, want.indices), (sub.data, want.data),
+                              *zip(edges, want_edges)]:
+            assert same_array(got, expected)
+        if kind == "independent":
+            assert edges[0].size == 0
+
+    @settings(max_examples=100, deadline=None)
+    @given(g=small_graphs(), h=hst.integers(1, 4), seed=hst.integers(0, 2**32 - 1))
+    def test_row_gather_matches_fancy_indexing(self, g, h, seed):
+        balls = hop_balls(g, h)
+        r = np.random.default_rng(seed)
+        rows = r.permutation(g.n)[: r.integers(1, g.n + 1)].astype(balls.indices.dtype)
+        pos, lengths = _row_positions(balls.indptr, rows)
+        want = balls[rows]
+        assert same_array(balls.indices[pos], want.indices)
+        assert np.array_equal(lengths, np.diff(want.indptr))
 
 
 class TestConnectedComponents:

@@ -6,9 +6,12 @@ import sys
 import time
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 import oracles
 import stresstune
@@ -20,10 +23,13 @@ from stresstune import (
     StressTuneError,
     SweepReport,
     SweepRow,
+    apply_multiplicative_noise,
     complete_noiseless_stress,
+    knn_graph,
     noiseless_stress,
     stress,
     sweep_hops,
+    tune,
 )
 
 
@@ -410,3 +416,61 @@ class TestSweepHops:
         sweep_hops(g, 2, [1, 2], embeddings=embeddings)
         assert set(embeddings) == {1, 2}
         assert embeddings[1].n == 10
+
+
+def noisy_knn(n: int, k: int, seed: int) -> DissimilarityGraph:
+    pts = np.random.default_rng(seed).uniform(size=(n, 2))
+    return apply_multiplicative_noise(knn_graph(Configuration(pts), k), 0.15, seed=seed)
+
+
+def bits(a: np.ndarray) -> bytes:
+    return np.ascontiguousarray(a).tobytes()
+
+
+class TestExactScaling:
+    """Weights times 2^k scale every embedding by 2^k and every stress by 2^(4k), bit for bit.
+
+    Scaling by a power of two is exact in floating point, so every step of a
+    stitch (completion, classical scaling, Procrustes, SMACOF and the stress
+    sums) should carry it through unchanged, and ``selected_h`` with it.
+    """
+
+    HOPS = [1, 2, 3, 5]
+
+    @staticmethod
+    def sweep(g: DissimilarityGraph, hs, refine: bool):
+        embeddings = {}
+        report = sweep_hops(g, 2, hs, refine_patches=refine, final_refine=refine, embeddings=embeddings)
+        return report, embeddings
+
+    def check(self, g: DissimilarityGraph, hs, k: int, refine: bool):
+        report, embeddings = self.sweep(g, hs, refine)
+        scaled = DissimilarityGraph(g.n, (g.ei, g.ej, np.ldexp(g.weights, k)))
+        got, got_embeddings = self.sweep(scaled, hs, refine)
+        assert got.selected_h == report.selected_h
+        for row, want in zip(got.rows, report.rows):
+            assert row.failed == want.failed
+            if not want.failed:
+                assert row.stress == np.ldexp(want.stress, 4 * k)
+        assert sorted(got_embeddings) == sorted(embeddings)
+        for h, config in embeddings.items():
+            assert bits(got_embeddings[h].points) == bits(np.ldexp(config.points, k))
+
+    @settings(max_examples=4, deadline=None)
+    @given(seed=hst.integers(0, 2**16), k=hst.integers(-4, 4))
+    def test_inline_sweep(self, seed, k):
+        g = noisy_knn(200, 8, seed)
+        for refine in (False, True):
+            self.check(g, self.HOPS, k, refine)
+
+    @settings(max_examples=2, deadline=None)
+    @given(k=hst.integers(-4, 4).filter(bool))
+    def test_pooled_sweep(self, k):
+        # Two usable cores and two hop values at the pool's minimum size: each
+        # hop value runs in its own worker.
+        g = noisy_knn(tune._POOL_MIN_NODES, 8, 0)
+        with mock.patch.object(tune, "_usable_cores", return_value=2), \
+                mock.patch.object(tune, "_sweep_in_processes", wraps=tune._sweep_in_processes) as pool:
+            for refine in (False, True):
+                self.check(g, [1, 2], k, refine)
+        assert pool.call_count == 4
