@@ -9,6 +9,7 @@ from scipy.sparse import coo_matrix, csc_matrix
 from scipy.sparse.linalg import splu
 
 from .core import (
+    PINV_RCOND,
     Configuration,
     DegenerateGeometryError,
     DenseSymmetricMatrix,
@@ -18,7 +19,6 @@ from .core import (
     _double_center_array,
     _top_eigenpairs_array,
     affine_rank,
-    pseudo_inverse,
 )
 from .graph import DissimilarityGraph, _dijkstra_csr, is_connected
 
@@ -204,7 +204,7 @@ def _trilaterate(Y: np.ndarray, d: np.ndarray) -> np.ndarray:
     sq = np.einsum("ij,ij->i", Yc, Yc)
     a = (sq.sum() + m * sq) / m - 2.0 * (Yc @ Yc.sum(axis=0)) / m
     # a_j = mean_i ||y_i - y_j||^2, expanded to avoid an m x m intermediate
-    return 0.5 * (pseudo_inverse(Yc) @ (a - d * d)) + c
+    return 0.5 * (np.linalg.pinv(Yc, rcond=PINV_RCOND) @ (a - d * d)) + c
 
 
 def trilaterate(landmarks: Configuration, dissimilarities) -> np.ndarray:

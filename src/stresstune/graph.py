@@ -229,8 +229,10 @@ def hop_balls(g: DissimilarityGraph, h: int) -> csr_matrix:
     counts = np.zeros(n, dtype=np.int64)
     cols = []
     for rows in _row_blocks(n):
+        # Every edge is stored in both directions, so a directed search sees
+        # the undirected graph without scipy transposing it for each block.
         reach = _csgraph_dijkstra(
-            adj, directed=False, unweighted=True, limit=h, indices=np.arange(rows.start, rows.stop)
+            adj, directed=True, unweighted=True, limit=h, indices=np.arange(rows.start, rows.stop)
         )
         block_rows, block_cols = np.nonzero(np.isfinite(reach))
         counts[rows] = np.bincount(block_rows, minlength=reach.shape[0])
@@ -242,35 +244,15 @@ def hop_balls(g: DissimilarityGraph, h: int) -> csr_matrix:
     return csr_matrix((np.ones(indices.size, dtype=bool), indices, indptr), shape=(n, n))
 
 
-def _floyd_warshall_dense(n: int, ei, ej, w) -> np.ndarray:
-    D = np.full((n, n), np.inf)
-    np.fill_diagonal(D, 0.0)
-    D[ei, ej] = w
-    D[ej, ei] = w
-    # (i, j) and (j, i) add the same two terms in each pass, so D stays exactly symmetric.
-    for k in range(n):
-        np.minimum(D, D[:, k, None] + D[None, k, :], out=D)
-    return D
-
-
-def all_pairs_shortest_paths(
-    g: DissimilarityGraph, method: str = "dijkstra"
-) -> DenseSymmetricMatrix:
+def all_pairs_shortest_paths(g: DissimilarityGraph) -> DenseSymmetricMatrix:
     """Complete the observed dissimilarities with weighted shortest-path lengths.
 
-    Unreachable pairs get a ``+inf`` sentinel. ``method`` selects between the
-    per-source Dijkstra fast path and the dense Floyd-Warshall reference; on
-    additively exact weights (e.g. integers) the two agree bit for bit.
+    Per-source Dijkstra on the cached adjacency, symmetrized by the smaller of
+    the two values; unreachable pairs get a ``+inf`` sentinel.
     """
     # The completion and the validated copy the returned matrix holds.
     _check_dense_fits("all_pairs_shortest_paths", g.n, 2)
-    if method == "dijkstra":
-        D = _dijkstra_csr(g._adj_csr())
-    elif method == "floyd-warshall":
-        D = _floyd_warshall_dense(g.n, g.ei, g.ej, g.weights)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return DenseSymmetricMatrix(D, allow_infinite=True)
+    return DenseSymmetricMatrix(_dijkstra_csr(g._adj_csr()), allow_infinite=True)
 
 
 def connected_components(g: DissimilarityGraph) -> list[list[int]]:

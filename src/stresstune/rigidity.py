@@ -14,15 +14,15 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from .core import (
     Configuration,
     DegenerateGeometryError,
-    DenseSymmetricMatrix,
     StressTuneError,
     affine_rank,
 )
-from .embed import _classical_scaling_array, _trilaterate, classical_scaling
+from .embed import _classical_scaling_array, _trilaterate
 from .graph import DissimilarityGraph, is_connected
 
 DEFAULT_SEED_CLIQUE_CAP = 10_000
@@ -53,74 +53,63 @@ class TrilaterativeOrdering:
 def verify_trilaterative_ordering(g: DissimilarityGraph, ordering: TrilaterativeOrdering) -> bool:
     """Direct predecessor-count check of the ordering property.
 
-    Independent of how the ordering was found: confirms the seed is a clique
-    and that each later vertex has >= p+1 neighbors among its predecessors.
+    Independent of how the ordering was found: counts each vertex's
+    neighbours placed before it. The seed is a clique exactly when its
+    ``r``-th vertex has ``r`` of them, and every later vertex needs ``p+1``.
     """
-    if len(ordering.order) != g.n:
+    n = g.n
+    if len(ordering.order) != n:
         return False
-    p = ordering.p
-    seed = ordering.seed_clique
-    for a in range(len(seed)):
-        for b in range(a + 1, len(seed)):
-            try:
-                g.edge_weight(seed[a], seed[b])
-            except KeyError:
-                return False
-    placed = set(seed)
-    for v in ordering.order[p + 1 :]:
-        nbrs, _ = g.neighbors(v)
-        if sum(1 for u in nbrs if int(u) in placed) < p + 1:
-            return False
-        placed.add(v)
-    return True
+    adj = g._adj_csr()
+    rank = np.empty(n, dtype=np.int64)
+    rank[list(ordering.order)] = np.arange(n)
+    # One entry per stored (v, u), so each undirected edge counts once, at its later end.
+    row_rank = np.repeat(rank, np.diff(adj.indptr))
+    earlier = np.bincount(row_rank[rank[adj.indices] < row_rank], minlength=n)
+    return bool((earlier >= np.minimum(np.arange(n), ordering.p + 1)).all())
 
 
-def _cliques(adj: list[set[int]], size: int):
+def _row(adj: csr_matrix, v: int) -> np.ndarray:
+    return adj.indices[adj.indptr[v] : adj.indptr[v + 1]]
+
+
+def _cliques(adj: csr_matrix, size: int):
     """Yield cliques of the given size as ascending tuples, lexicographically."""
 
     def extend(clique, common):
         if len(clique) == size:
             yield tuple(clique)
             return
-        for u in sorted(common):
-            narrowed = {x for x in common & adj[u] if x > u}
+        # common ascends, so the candidates above u are the entries after it.
+        for a, u in enumerate(common.tolist()):
+            narrowed = np.intersect1d(common[a + 1 :], _row(adj, u), assume_unique=True)
             yield from extend(clique + [u], narrowed)
 
-    for v in range(len(adj)):
-        above = {u for u in adj[v] if u > v}
-        yield from extend([v], above)
+    for v in range(adj.shape[0]):
+        nbrs = _row(adj, v)
+        yield from extend([v], nbrs[nbrs > v])
 
 
-def _greedy_closure(g: DissimilarityGraph, seed: tuple[int, ...], p: int) -> list[int] | None:
+def _greedy_closure(adj: csr_matrix, seed: tuple[int, ...], p: int) -> list[int] | None:
     """Grow the seed by repeatedly appending the lowest-index eligible vertex."""
-    n = g.n
+    n = adj.shape[0]
     placed = np.zeros(n, dtype=bool)
+    placed[list(seed)] = True
     counts = np.zeros(n, dtype=np.int64)
+    for v in seed:
+        counts[_row(adj, v)] += 1
+    # Each vertex enters the heap once, when its placed-neighbour count reaches p+1.
+    heap = np.flatnonzero((counts > p) & ~placed).tolist()
     order = list(seed)
-    for v in seed:
-        placed[v] = True
-    heap: list[int] = []
-    for v in seed:
-        nbrs, _ = g.neighbors(v)
-        for u in nbrs:
-            u = int(u)
-            if not placed[u]:
-                counts[u] += 1
-                if counts[u] == p + 1:
-                    heapq.heappush(heap, u)
     while heap:
         u = heapq.heappop(heap)
-        if placed[u]:
-            continue
         placed[u] = True
         order.append(u)
-        nbrs, _ = g.neighbors(u)
-        for w in nbrs:
-            w = int(w)
-            if not placed[w]:
-                counts[w] += 1
-                if counts[w] == p + 1:
-                    heapq.heappush(heap, w)
+        nbrs = _row(adj, u)
+        nbrs = nbrs[~placed[nbrs]]
+        counts[nbrs] += 1
+        for w in nbrs[counts[nbrs] == p + 1].tolist():
+            heapq.heappush(heap, w)
     return order if len(order) == n else None
 
 
@@ -149,14 +138,11 @@ def find_trilaterative_ordering(g: DissimilarityGraph, p: int) -> TrilaterativeO
     """
     if p < 1:
         raise ValueError("p must be >= 1")
-    # A closure grows along edges, so no seed closes a disconnected graph; the
-    # check comes before the per-node adjacency sets, which cost O(n).
+    # A closure grows along edges, so no seed closes a disconnected graph:
+    # stop before enumerating seeds, up to the cap, that cannot succeed.
     if not is_connected(g):
         return None
-    adj = [set() for _ in range(g.n)]
-    for a, b in zip(g.ei, g.ej):
-        adj[int(a)].add(int(b))
-        adj[int(b)].add(int(a))
+    adj = g._adj_csr()
     tried = 0
     for seed in _cliques(adj, p + 1):
         if tried >= DEFAULT_SEED_CLIQUE_CAP:
@@ -169,7 +155,7 @@ def find_trilaterative_ordering(g: DissimilarityGraph, p: int) -> TrilaterativeO
         tried += 1
         if affine_rank(_classical_scaling_array(_seed_dissimilarities(g, seed), p)) < p:
             continue
-        order = _greedy_closure(g, seed, p)
+        order = _greedy_closure(adj, seed, p)
         if order is not None:
             return TrilaterativeOrdering(p=p, order=tuple(order))
     return None
@@ -201,7 +187,7 @@ def sequential_trilateration(
     coords = np.zeros((g.n, p))
     placed = np.zeros(g.n, dtype=bool)
     seed_idx = np.array(seed, dtype=np.int64)
-    coords[seed_idx] = classical_scaling(DenseSymmetricMatrix(D), p).points
+    coords[seed_idx] = _classical_scaling_array(D, p)
     placed[seed_idx] = True
     for v in ordering.order[k:]:
         nbrs, w = g.neighbors(v)

@@ -5,7 +5,8 @@ heapq Dijkstra, union-find, quadrature) with no imports from ``stresstune``'s
 internals beyond plain data, so a bug in the package cannot hide in its own
 oracle. The exceptions replay an inner loop through the validated public
 API that the loop bypasses (``procrustes`` with ``RigidMap.apply``, one
-``trilaterate`` per node), so the array kernels can be compared bit for bit.
+``trilaterate`` per node, ``classical_scaling`` of each seed clique), so the
+array kernels can be compared bit for bit.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from scipy.sparse.csgraph import shortest_path
 from stresstune import (
     Configuration,
     DenseSymmetricMatrix,
+    affine_rank,
     classical_scaling,
     procrustes,
     trilaterate,
@@ -57,6 +59,18 @@ def dijkstra_all_pairs(n: int, edges) -> np.ndarray:
                     dist[v] = nd
                     heapq.heappush(heap, (nd, v))
         D[s] = dist
+    return D
+
+
+def floyd_warshall_dense(n: int, ei, ej, w) -> np.ndarray:
+    """Dense Floyd-Warshall over an undirected edge list; ``inf`` where unreachable."""
+    D = np.full((n, n), np.inf)
+    np.fill_diagonal(D, 0.0)
+    D[ei, ej] = w
+    D[ej, ei] = w
+    # (i, j) and (j, i) add the same two terms in each pass, so D stays exactly symmetric.
+    for k in range(n):
+        np.minimum(D, D[:, k, None] + D[None, k, :], out=D)
     return D
 
 
@@ -197,10 +211,15 @@ def merge_public(coords: np.ndarray, placed: np.ndarray, members: np.ndarray, lo
     placed[members] = True
 
 
+def seed_dissimilarities(g, seed) -> np.ndarray:
+    """The complete dissimilarity matrix of a seed clique, one ``edge_weight`` per pair."""
+    return np.array([[0.0 if a == b else g.edge_weight(a, b) for b in seed] for a in seed])
+
+
 def sequential_trilateration_loop(g, order, p: int) -> np.ndarray:
     """Classical scaling of the seed clique, then one public ``trilaterate`` per later node."""
     seed = list(order[: p + 1])
-    D = np.array([[0.0 if a == b else g.edge_weight(a, b) for b in seed] for a in seed])
+    D = seed_dissimilarities(g, seed)
     coords = np.zeros((g.n, p))
     placed = np.zeros(g.n, dtype=bool)
     coords[seed] = classical_scaling(DenseSymmetricMatrix(D), p).points
@@ -211,6 +230,107 @@ def sequential_trilateration_loop(g, order, p: int) -> np.ndarray:
         coords[v] = trilaterate(Configuration(coords[nbrs[mask]]), w[mask])
         placed[v] = True
     return coords
+
+
+def adjacency_sets(g) -> list[set[int]]:
+    """One Python set of neighbours per node."""
+    adj = [set() for _ in range(g.n)]
+    for a, b in zip(g.ei, g.ej):
+        adj[int(a)].add(int(b))
+        adj[int(b)].add(int(a))
+    return adj
+
+
+def cliques_sets(adj: list[set[int]], size: int):
+    """Yield cliques of the given size as ascending tuples, lexicographically."""
+
+    def extend(clique, common):
+        if len(clique) == size:
+            yield tuple(clique)
+            return
+        for u in sorted(common):
+            narrowed = {x for x in common & adj[u] if x > u}
+            yield from extend(clique + [u], narrowed)
+
+    for v in range(len(adj)):
+        above = {u for u in adj[v] if u > v}
+        yield from extend([v], above)
+
+
+def greedy_closure_loop(g, seed: tuple[int, ...], p: int) -> list[int] | None:
+    """Grow the seed by repeatedly appending the lowest-index eligible vertex."""
+    n = g.n
+    placed = np.zeros(n, dtype=bool)
+    counts = np.zeros(n, dtype=np.int64)
+    order = list(seed)
+    for v in seed:
+        placed[v] = True
+    heap: list[int] = []
+    for v in seed:
+        nbrs, _ = g.neighbors(v)
+        for u in nbrs:
+            u = int(u)
+            if not placed[u]:
+                counts[u] += 1
+                if counts[u] == p + 1:
+                    heapq.heappush(heap, u)
+    while heap:
+        u = heapq.heappop(heap)
+        if placed[u]:
+            continue
+        placed[u] = True
+        order.append(u)
+        nbrs, _ = g.neighbors(u)
+        for w in nbrs:
+            w = int(w)
+            if not placed[w]:
+                counts[w] += 1
+                if counts[w] == p + 1:
+                    heapq.heappush(heap, w)
+    return order if len(order) == n else None
+
+
+def verify_ordering_loop(g, order, p: int) -> bool:
+    """Every seed pair is an edge, and each later vertex has ``p+1`` placed neighbours, by a Python set."""
+    if len(order) != g.n:
+        return False
+    seed = order[: p + 1]
+    for a in range(len(seed)):
+        for b in range(a + 1, len(seed)):
+            try:
+                g.edge_weight(seed[a], seed[b])
+            except KeyError:
+                return False
+    placed = set(seed)
+    for v in order[p + 1 :]:
+        nbrs, _ = g.neighbors(v)
+        if sum(1 for u in nbrs if int(u) in placed) < p + 1:
+            return False
+        placed.add(v)
+    return True
+
+
+def find_ordering_loop(g, p: int, cap: int):
+    """The seed-clique search over Python sets: ``(order or None, whether the cap was hit)``.
+
+    A disconnected graph has no ordering. Seeds come in lexicographic order;
+    one whose classical scaling has affine rank below ``p`` is skipped, and
+    the first whose greedy closure covers the graph wins.
+    """
+    if len(union_find_components(g.n, zip(g.ei.tolist(), g.ej.tolist(), g.weights.tolist()))) > 1:
+        return None, False
+    tried = 0
+    for seed in cliques_sets(adjacency_sets(g), p + 1):
+        if tried >= cap:
+            return None, True
+        tried += 1
+        D = seed_dissimilarities(g, seed)
+        if affine_rank(classical_scaling(DenseSymmetricMatrix(D), p).points) < p:
+            continue
+        order = greedy_closure_loop(g, seed, p)
+        if order is not None:
+            return tuple(order), False
+    return None, False
 
 
 def union_find_components(n: int, edges) -> list[list[int]]:

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from oracles import law_of_cosines_km
+from oracles import floyd_warshall_dense, law_of_cosines_km
 from stresstune import (
     CityTable,
     Configuration,
@@ -116,8 +116,9 @@ def test_c03_smacof_stress_sequence_is_nonincreasing():
 
 
 def test_c04_floyd_warshall_matches_per_source_dijkstra():
-    # Integer weights make every path length an exact float sum, so the two
-    # algorithms must agree bit for bit, including the +inf placements on
+    # Integer weights make every path length an exact float sum, so the dense
+    # Floyd-Warshall reference (tests/oracles.py) and the library's per-source
+    # Dijkstra must agree bit for bit, including the +inf placements on
     # disconnected pairs.
     finite = 0
     total = 0
@@ -127,8 +128,8 @@ def test_c04_floyd_warshall_matches_per_source_dijkstra():
         keep = rng.permutation(len(pairs))[:120]
         triples = [(*pairs[k], float(rng.integers(1, 10))) for k in keep]
         g = DissimilarityGraph(50, triples)
-        fw = all_pairs_shortest_paths(g, method="floyd-warshall").values
-        dj = all_pairs_shortest_paths(g, method="dijkstra").values
+        fw = floyd_warshall_dense(g.n, g.ei, g.ej, g.weights)
+        dj = all_pairs_shortest_paths(g).values
         assert np.array_equal(fw, dj)
         finite += int(np.isfinite(fw).sum())
         total += fw.size

@@ -273,7 +273,10 @@ class TestHopNeighborhood:
 
 @hst.composite
 def small_graphs(draw):
-    """Graphs of up to 30 nodes, often disconnected, often with trailing isolated nodes."""
+    """Graphs of up to 30 nodes, often disconnected, often with trailing isolated nodes.
+
+    Part of the weights are 0: stored zeros are edges too.
+    """
     n = draw(hst.integers(1, 30))
     pairs = draw(
         hst.sets(
@@ -286,7 +289,8 @@ def small_graphs(draw):
     edges = sorted(pairs)
     ei = np.array([a for a, _ in edges], dtype=np.int64)
     ej = np.array([b for _, b in edges], dtype=np.int64)
-    return DissimilarityGraph(n, (ei, ej, np.ones(len(edges))))
+    w = draw(hst.lists(hst.sampled_from([0.0, 1.0, 1.0, 1.0]), min_size=len(edges), max_size=len(edges)))
+    return DissimilarityGraph(n, (ei, ej, np.array(w, dtype=np.float64)))
 
 
 class TestIsConnected:
@@ -310,6 +314,18 @@ class TestHopBalls:
         assert balls.has_sorted_indices
         hops = oracles.bfs_hop_matrix(g.n, edge_triples(g))
         np.testing.assert_array_equal(balls.toarray(), hops <= h)
+
+    @settings(max_examples=150, deadline=None)
+    @given(g=small_graphs(), h=hst.integers(1, 6), seed=hst.integers(0, 2**32 - 1))
+    def test_relabelling_is_equivariant(self, g, h, seed):
+        # Node v of g is node perm[v] of the relabelled graph.
+        perm = np.random.default_rng(seed).permutation(g.n)
+        moved = DissimilarityGraph(g.n, (perm[g.ei], perm[g.ej], g.weights))
+        want = np.zeros((g.n, g.n), dtype=bool)
+        want[np.ix_(perm, perm)] = hop_balls(g, h).toarray()
+        got = hop_balls(moved, h)
+        assert got.has_sorted_indices
+        assert got.toarray().tobytes() == want.tobytes()
 
     def test_default_block_size_partial_last_block(self, rng):
         # At 549 nodes the default budget holds 477 sources per block, so the
@@ -382,14 +398,14 @@ class TestAllPairsShortestPaths:
             g = DissimilarityGraph(
                 30, [(i, j, float(int(w * 10) + 1)) for i, j, w in edge_triples(g)]
             )
-            a = all_pairs_shortest_paths(g, method="dijkstra").values
-            b = all_pairs_shortest_paths(g, method="floyd-warshall").values
+            a = all_pairs_shortest_paths(g).values
+            b = oracles.floyd_warshall_dense(g.n, g.ei, g.ej, g.weights)
             np.testing.assert_array_equal(a, b)
 
     def test_floyd_warshall_close_on_float_weights(self, rng):
         g = random_graph(rng, 40)
-        a = all_pairs_shortest_paths(g, method="dijkstra").values
-        b = all_pairs_shortest_paths(g, method="floyd-warshall").values
+        a = all_pairs_shortest_paths(g).values
+        b = oracles.floyd_warshall_dense(g.n, g.ei, g.ej, g.weights)
         finite = np.isfinite(a)
         np.testing.assert_allclose(b[finite], a[finite], rtol=1e-12, atol=0)
         np.testing.assert_array_equal(np.isfinite(b), finite)
@@ -411,11 +427,6 @@ class TestAllPairsShortestPaths:
             rhs = D[:, [k]] + D[[k], :]
             mask = finite & np.isfinite(rhs)
             assert (lhs[mask] <= rhs[mask] * (1 + 1e-9) + 1e-15).all()
-
-    def test_unknown_method(self):
-        g = DissimilarityGraph(2, [(0, 1, 1.0)])
-        with pytest.raises(ValueError):
-            all_pairs_shortest_paths(g, method="bellman-ford")
 
 
 def patch_graph(seed: int, m: int, integer: bool, split: bool) -> DissimilarityGraph:

@@ -1,7 +1,11 @@
 import warnings
+from itertools import islice
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as hst
 
 import oracles
 import stresstune.rigidity as rigidity_module
@@ -17,6 +21,7 @@ from stresstune import (
     apply_multiplicative_noise,
     diameter,
     find_trilaterative_ordering,
+    knn_graph,
     radius_graph,
     sequential_trilateration,
     verify_trilaterative_ordering,
@@ -132,6 +137,91 @@ class TestFindOrdering:
         g = path_graph(4)
         bogus = TrilaterativeOrdering(p=1, order=(0, 2, 1, 3))
         assert not verify_trilaterative_ordering(g, bogus)
+
+
+@hst.composite
+def rigidity_cases(draw):
+    """``(graph, p)``: a radius or k-NN graph on 3-40 random points in p dimensions.
+
+    Some graphs have zero weights (which can make a seed clique rank-deficient),
+    and some are split into two halves with no edge between them.
+    """
+    p = draw(hst.integers(1, 3))
+    n = draw(hst.integers(p + 2, 40))
+    r = np.random.default_rng(draw(hst.integers(0, 2**32 - 1)))
+    cfg = Configuration(r.uniform(size=(n, p)))
+    if draw(hst.booleans()):
+        g = radius_graph(cfg, draw(hst.sampled_from([0.4, 0.6, 0.8, 1.2])))
+    else:
+        g = knn_graph(cfg, draw(hst.integers(min(p + 1, n - 1), min(12, n - 1))))
+    w = g.weights.copy()
+    w[r.uniform(size=w.size) < draw(hst.sampled_from([0.0, 0.0, 0.05, 0.3]))] = 0.0
+    keep = np.ones(w.size, dtype=bool)
+    if draw(hst.sampled_from([False, False, False, True])):
+        keep = (g.ei < n // 2) == (g.ej < n // 2)
+    return DissimilarityGraph(n, (g.ei[keep], g.ej[keep], w[keep])), p
+
+
+class TestAgainstSetOracles:
+    """The CSR traversals against the set-based loops they replaced."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=rigidity_cases(), seed=hst.integers(0, 2**32 - 1))
+    def test_clique_prefixes_and_closures(self, case, seed):
+        g, p = case
+        adj, sets = g._adj_csr(), oracles.adjacency_sets(g)
+        for size in (2, 3, 4):
+            got = list(islice(rigidity_module._cliques(adj, size), 40))
+            assert got == list(islice(oracles.cliques_sets(sets, size), 40))
+        seeds = list(islice(rigidity_module._cliques(adj, p + 1), 10))
+        seeds.append(tuple(np.random.default_rng(seed).permutation(g.n)[: p + 1].tolist()))
+        for s in seeds:
+            assert rigidity_module._greedy_closure(adj, s, p) == oracles.greedy_closure_loop(g, s, p)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=rigidity_cases(), cap=hst.sampled_from([1, 2, 5, rigidity_module.DEFAULT_SEED_CLIQUE_CAP]))
+    def test_search_matches_oracle_under_the_cap(self, case, cap):
+        g, p = case
+        want, capped = oracles.find_ordering_loop(g, p, cap)
+        with mock.patch.object(rigidity_module, "DEFAULT_SEED_CLIQUE_CAP", cap):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                found = find_trilaterative_ordering(g, p)
+        assert (None if found is None else found.order) == want
+        assert [str(w.message) for w in caught] == (
+            [f"seed-clique cap {cap} reached without a closing seed; an ordering may still exist"]
+            if capped
+            else []
+        )
+        event("capped" if capped else "found" if want else "none")
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=rigidity_cases(), seed=hst.integers(0, 2**32 - 1))
+    def test_verdicts_match_oracle(self, case, seed):
+        g, p = case
+        r = np.random.default_rng(seed)
+        orders = [tuple(r.permutation(g.n).tolist()) for _ in range(3)]
+        found = find_trilaterative_ordering(g, p)
+        if found is not None:
+            order = list(found.order)
+            orders.append(tuple(order))
+            # A later vertex moved ahead of its support, right after the seed.
+            orders.append(tuple(order[: p + 1] + order[-1:] + order[p + 1 : -1]))
+            # A seed missing an edge: its last vertex swapped with a later one
+            # that misses some other seed vertex.
+            seed_nbrs = [set(g.neighbors(v)[0].tolist()) for v in order[:p]]
+            for k in range(p + 1, g.n):
+                if any(order[k] not in nbrs for nbrs in seed_nbrs):
+                    order[p], order[k] = order[k], order[p]
+                    orders.append(tuple(order))
+                    break
+        verdicts = [verify_trilaterative_ordering(g, TrilaterativeOrdering(p=p, order=o)) for o in orders]
+        assert verdicts == [oracles.verify_ordering_loop(g, o, p) for o in orders]
+        event("ordering found" if found is not None else "no ordering")
+        if found is not None:
+            assert verdicts[3]
+            if len(orders) == 6:
+                assert not verdicts[5]
 
 
 class TestSequentialTrilateration:

@@ -307,6 +307,18 @@ class TestMergePlan:
     @settings(max_examples=200, deadline=None)
     @given(g=connected_graphs(), h=hst.integers(1, 3), p=hst.integers(1, 2))
     def test_merge_log_matches_set_loop(self, g, h, p):
+        self.check_merge_log(g, h, p)
+
+    @settings(max_examples=100, deadline=None)
+    @given(g=connected_graphs(), h=hst.integers(1, 3), p=hst.integers(1, 2), seed=hst.integers(0, 2**32 - 1))
+    def test_relabelled_merge_log_matches_set_loop(self, g, h, p, seed):
+        # The plan is equivariant only up to its lowest-index tie-break, so the
+        # relabelled graph's log is checked against the loop on that graph.
+        perm = np.random.default_rng(seed).permutation(g.n)
+        self.check_merge_log(DissimilarityGraph(g.n, (perm[g.ei], perm[g.ej], g.weights)), h, p)
+
+    @staticmethod
+    def check_merge_log(g, h, p):
         triples = list(zip(g.ei.tolist(), g.ej.tolist(), g.weights.tolist()))
         want = oracles.merge_plan_loop(g.n, triples, h, p)
         balls = hop_balls(g, h)
