@@ -23,7 +23,6 @@ from .core import (
     RigidMap,
     StressTuneError,
     affine_rank,
-    pseudo_inverse,
     read_configuration_csv,
     write_configuration_csv,
 )
@@ -132,7 +131,6 @@ __all__ = [
     "min_connectivity_radius",
     "noiseless_stress",
     "procrustes",
-    "pseudo_inverse",
     "radius_graph",
     "read_configuration_csv",
     "read_edge_csv",

@@ -257,19 +257,6 @@ def _top_eigenpairs_array(B: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray
     return vals[::-1].copy(), vecs[:, ::-1].copy()
 
 
-def pseudo_inverse(Y: np.ndarray) -> np.ndarray:
-    """Moore-Penrose pseudo-inverse via SVD.
-
-    Singular values below ``PINV_RCOND`` times the largest are treated as zero.
-    """
-    A = np.asarray(Y, dtype=np.float64)
-    if A.ndim != 2:
-        raise ValueError("expected a 2-d array")
-    if not np.isfinite(A).all():
-        raise ValueError("entries must be finite")
-    return np.linalg.pinv(A, rcond=PINV_RCOND)
-
-
 def affine_rank(points: np.ndarray) -> int:
     """Dimension of the affine span of row points.
 

@@ -2,11 +2,13 @@
 stitch them into one global configuration by rigid alignment on their overlaps.
 
 Stitching runs in three phases: a merge plan computed from hop-ball
-memberships alone (:func:`_merge_plan`), one embedding per patch that adds
-nodes (:func:`_embed_members`), and Procrustes placement into arrays updated
-in place (:func:`merge`). The largest ball seeds the map; nodes keep the
-coordinates of their first placement. All ties break toward the lowest
-center index, which makes runs on identical inputs bit-identical.
+memberships alone, the only record of which nodes are placed
+(:func:`_merge_plan`); one embedding per patch that adds nodes, a function of
+the graph and the members only (:func:`_embed_members`); and Procrustes
+placement into coordinates updated in place (:func:`merge`). The largest
+ball seeds the map; nodes keep the coordinates of their first placement. All
+ties break toward the lowest center index, which makes runs on identical
+inputs bit-identical.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from .graph import (
 
 
 class PatchError(StressTuneError):
-    """A patch could not be embedded (too small or internally disconnected)."""
+    """A hop ball is too small to embed: fewer than ``p + 1`` nodes."""
 
 
 class MergeError(StressTuneError):
@@ -74,38 +76,27 @@ class GlobalMap:
 
 
 def _embed_members(
-    g: DissimilarityGraph,
-    members: np.ndarray,
-    center: int,
-    p: int,
-    refine: bool = True,
+    g: DissimilarityGraph, members: np.ndarray, p: int, refine: bool = True
 ) -> np.ndarray:
     """Local embedding of the patch ``members`` (ascending), one row per member.
 
     The patch's missing dissimilarities are completed with shortest paths
     inside the induced subgraph, classical scaling embeds the completed
     matrix, and (optionally) stress majorization against the observed edges
-    refines the result.
+    refines the result. A hop ball holds a shortest hop path from its center
+    to each member, so its induced subgraph is connected and the completion
+    finite; :func:`mds_map_p` refuses balls of fewer than ``p + 1`` nodes.
     """
-    m = members.size
-    if m < p + 1:
-        raise PatchError(f"patch at node {center} has {m} nodes; need at least {p + 1}")
     sub, (ei, ej, w) = induced_subgraph_csr(g, members)
-    local_D = shortest_paths_csr(sub)
-    if np.isinf(local_D).any():
-        raise PatchError(f"patch at node {center} is internally disconnected")
-    Y = _classical_scaling_array(local_D, p)
+    Y = _classical_scaling_array(shortest_paths_csr(sub), p)
     if refine:
-        Y, _ = _smacof(m, ei, ej, w, Y, SMACOF_MAX_ITER, SMACOF_TOL)
+        Y, _ = _smacof(members.size, ei, ej, w, Y, SMACOF_MAX_ITER, SMACOF_TOL)
     return Y
 
 
-def _check_overlap(
-    coords: np.ndarray, placed: np.ndarray, members: np.ndarray, center: int
-) -> np.ndarray:
-    """Placed members of a patch; raises unless they pin down a ``p``-dimensional fit."""
+def _check_overlap(coords: np.ndarray, overlap: np.ndarray, center: int) -> None:
+    """Raise unless a patch's placed ``overlap`` pins down a ``p``-dimensional fit."""
     p = coords.shape[1]
-    overlap = members[placed[members]]
     if overlap.size < p + 1:
         raise MergeError(
             f"patch at node {center} overlaps only {overlap.size} placed nodes; "
@@ -116,48 +107,47 @@ def _check_overlap(
             f"placed overlap of patch at node {center} is affinely degenerate "
             f"(try a larger neighborhood h)"
         )
-    return overlap
 
 
 def merge(
-    coords: np.ndarray, placed: np.ndarray, members: np.ndarray, local: np.ndarray, center: int
+    coords: np.ndarray, members: np.ndarray, new: np.ndarray, local: np.ndarray, center: int
 ) -> None:
     """Place a patch's new nodes, in place, by Procrustes on its placed overlap.
 
-    ``local`` holds the patch coordinates, one row per entry of ``members``.
-    Already-placed nodes keep their coordinates; new nodes adopt the patch
-    coordinates mapped through the fitted rigid-plus-reflection transform.
+    ``local`` holds the patch coordinates and ``new`` marks the members not yet
+    placed, one entry per entry of ``members``. Already-placed nodes keep their
+    coordinates; new nodes adopt the patch coordinates mapped through the
+    fitted rigid-plus-reflection transform.
     """
-    overlap = _check_overlap(coords, placed, members, center)
-    old = placed[members]
-    Q, t = _procrustes(local[old], coords[overlap])
-    new = members[~old]
-    coords[new] = local[~old] @ Q.T + t
-    placed[new] = True
+    overlap = members[~new]
+    _check_overlap(coords, overlap, center)
+    Q, t = _procrustes(local[~new], coords[overlap])
+    coords[members[new]] = local[new] @ Q.T + t
 
 
 def _merge_plan(balls: csr_matrix, p: int):
     """Greedy merge order of the patches, from hop-ball memberships alone.
 
-    Yields ``(center, overlap, adds_new)``: first the seed, the largest ball,
-    with overlap 0; then, until every node is placed, the unmerged center
-    whose ball holds the most placed nodes (ties toward the lowest index),
-    with that count, each merge placing its whole ball. Lazily, so an error
+    Yields ``(center, members, new, overlap)``: the center's ball, the mask
+    of its members not yet placed, and the count of those placed. First the
+    seed, the largest ball, with overlap 0; then, until every node is placed,
+    the unmerged center whose ball holds the most placed nodes (ties toward
+    the lowest index), each merge placing its whole ball. Lazily, so an error
     raised while placing a patch comes before any later planning error.
     """
     n = balls.shape[0]
-    sizes = np.diff(balls.indptr)
     placed = np.zeros(n, dtype=bool)
     # counts[u] = placed members of u's ball, or below zero once u has merged
     # (it is reset to -n - 1 and can rise by at most n). Balls are symmetric,
     # so placing w raises the count of exactly the nodes in w's ball.
     counts = np.zeros(n, dtype=np.int64)
-    v = int(np.argmax(sizes))
+    v = int(np.argmax(np.diff(balls.indptr)))
     overlap = 0
     while True:
-        yield v, overlap, bool(overlap < sizes[v])
         members = balls.indices[balls.indptr[v] : balls.indptr[v + 1]]
-        newly = members[~placed[members]]
+        new = ~placed[members]
+        yield v, members, new, overlap
+        newly = members[new]
         placed[newly] = True
         if newly.size:
             counts += np.bincount(balls.indices[_row_positions(balls.indptr, newly)[0]], minlength=n)
@@ -190,9 +180,9 @@ def mds_map_p(
     overlap with the placed set (ties toward the lowest center index). Each
     patch that adds nodes is embedded on its own (shortest-path completion,
     classical scaling, optionally ``refine_patches`` stress majorization), and
-    its new nodes are placed by Procrustes on the overlap into arrays updated
-    in place; nodes keep the coordinates of their first placement. A patch
-    that adds no nodes is only checked for a valid overlap. ``final_refine``
+    its new nodes are placed by Procrustes on the overlap into coordinates
+    updated in place; nodes keep the coordinates of their first placement. A
+    patch that adds no nodes is only checked for a valid overlap. ``final_refine``
     runs stress majorization on the stitched configuration against all
     observed edges. With ``return_global_map`` the stitched :class:`GlobalMap`,
     whose ``merge_log`` lists ``(center, overlap)`` in merge order, is
@@ -222,23 +212,22 @@ def mds_map_p(
         )
 
     coords = np.full((n, p), np.nan)
-    placed = np.zeros(n, dtype=bool)
     log = []
-    for v, overlap, adds_new in _merge_plan(balls, p):
-        members = balls.indices[balls.indptr[v] : balls.indptr[v + 1]].astype(np.int64)
-        if not adds_new:
-            # First placement wins, so the transform is moot: only the overlap is checked.
-            _check_overlap(coords, placed, members, v)
+    for v, members, new, overlap in _merge_plan(balls, p):
+        if not new.any():
+            # First placement wins, so the transform is moot: only the overlap,
+            # here the whole ball, is checked.
+            _check_overlap(coords, members, v)
         else:
-            local = _embed_members(g, members, v, p, refine_patches)
+            local = _embed_members(g, members, p, refine_patches)
             if log:
-                merge(coords, placed, members, local, v)
+                merge(coords, members, new, local, v)
             else:  # the seed sets the frame of the global map
                 coords[members] = local
-                placed[members] = True
         log.append((v, overlap))
-    # The balls are O(sum of ball sizes); the final refinement needs only the graph.
-    del balls
+    # The balls are O(sum of ball sizes); the final refinement needs only the
+    # graph. ``members`` is a view into them, so it goes too.
+    del balls, members
 
     result = Configuration(coords)
     if final_refine:

@@ -96,17 +96,11 @@ class SweepRow:
 _COLUMNS = tuple(f.name for f in fields(SweepRow))
 
 
-def _stress_argmin(rows) -> int:
-    """The h of the lowest-stress successful row, ties toward the smaller h."""
-    return min((r for r in rows if not r.failed), key=lambda r: (r.stress, r.h)).h
-
-
 @dataclass(frozen=True)
 class SweepReport:
-    """Sweep rows (ascending h) plus the stress-minimizing selection."""
+    """Sweep rows (ascending h); the stress-minimizing ``selected_h`` is derived from them."""
 
     rows: tuple[SweepRow, ...]
-    selected_h: int
 
     def __post_init__(self):
         rows = tuple(self.rows)
@@ -115,9 +109,12 @@ class SweepReport:
             raise ValueError("rows must be sorted by h without duplicates")
         if all(r.failed for r in rows):
             raise ValueError("a report needs at least one successful row")
-        if _stress_argmin(rows) != self.selected_h:
-            raise ValueError("selected_h must be the stress argmin (ties toward smaller h)")
         object.__setattr__(self, "rows", rows)
+
+    @property
+    def selected_h(self) -> int:
+        """The h of the lowest-stress successful row, ties toward the smaller h."""
+        return min((r for r in self.rows if not r.failed), key=lambda r: (r.stress, r.h)).h
 
     def row(self, h: int) -> SweepRow:
         for r in self.rows:
@@ -316,4 +313,4 @@ def sweep_hops(
             embeddings[h] = config
     if all(r.failed for r in rows):
         raise StressTuneError(f"every swept hop value failed: {hs}")
-    return SweepReport(rows=tuple(rows), selected_h=_stress_argmin(rows))
+    return SweepReport(rows=tuple(rows))

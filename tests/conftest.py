@@ -5,7 +5,7 @@ import pytest
 from hypothesis import strategies as hst
 
 import stresstune.core as core_module
-from stresstune import Configuration
+from stresstune import Configuration, DissimilarityGraph
 
 
 @pytest.fixture
@@ -26,6 +26,46 @@ def block_budget(n: int, rows: int):
 def rotation(theta: float) -> np.ndarray:
     c, s = np.cos(theta), np.sin(theta)
     return np.array([[c, -s], [s, c]])
+
+
+@hst.composite
+def small_graphs(draw):
+    """Graphs of up to 30 nodes, often disconnected, often with trailing isolated nodes.
+
+    Part of the weights are 0: stored zeros are edges too.
+    """
+    n = draw(hst.integers(1, 30))
+    pairs = draw(
+        hst.sets(
+            hst.tuples(hst.integers(0, n - 1), hst.integers(0, n - 1))
+            .filter(lambda t: t[0] != t[1])
+            .map(lambda t: (min(t), max(t))),
+            max_size=2 * n,
+        )
+    )
+    edges = sorted(pairs)
+    ei = np.array([a for a, _ in edges], dtype=np.int64)
+    ej = np.array([b for _, b in edges], dtype=np.int64)
+    w = draw(hst.lists(hst.sampled_from([0.0, 1.0, 1.0, 1.0]), min_size=len(edges), max_size=len(edges)))
+    return DissimilarityGraph(n, (ei, ej, np.array(w, dtype=np.float64)))
+
+
+def patch_graph(seed: int, m: int, integer: bool, split: bool) -> DissimilarityGraph:
+    """Random sparse graph on ``m`` nodes, about a sixth of its weights zero.
+
+    With ``split`` no edge joins the two halves, so the graph is disconnected.
+    """
+    r = np.random.default_rng(seed)
+    i = r.integers(0, m, size=3 * m)
+    j = r.integers(0, m, size=3 * m)
+    if split:
+        j = np.where(i < m // 2, j % (m // 2), m // 2 + j % (m - m // 2))
+    keep = i != j
+    key = np.unique(np.minimum(i, j)[keep] * m + np.maximum(i, j)[keep])
+    ei, ej = key // m, key % m
+    w = r.integers(1, 10, size=key.size).astype(np.float64) if integer else r.uniform(0.1, 2.0, size=key.size)
+    w[r.uniform(size=key.size) < 1 / 6] = 0.0
+    return DissimilarityGraph(m, (ei, ej, w))
 
 
 # CSV fields a malformed export may hold: a negative index, an index outside

@@ -200,15 +200,13 @@ def merge_plan_loop(n: int, edges, h: int, p: int):
     return log
 
 
-def merge_public(coords: np.ndarray, placed: np.ndarray, members: np.ndarray, local: np.ndarray):
+def merge_public(coords: np.ndarray, members: np.ndarray, new: np.ndarray, local: np.ndarray):
     """``stitch.merge``'s placement, in place, via ``procrustes`` and ``RigidMap.apply``.
 
     The fit runs on two validated Configurations; the overlap is not checked.
     """
-    old = placed[members]
-    fit = procrustes(Configuration(local[old]), Configuration(coords[members[old]]))
-    coords[members[~old]] = fit.apply(local[~old])
-    placed[members] = True
+    fit = procrustes(Configuration(local[~new]), Configuration(coords[members[~new]]))
+    coords[members[new]] = fit.apply(local[new])
 
 
 def seed_dissimilarities(g, seed) -> np.ndarray:

@@ -26,7 +26,6 @@ from stresstune import (
     complete_noiseless_stress,
     knn_graph,
     mds_d,
-    pseudo_inverse,
     read_configuration_csv,
     write_configuration_csv,
 )
@@ -423,28 +422,6 @@ class TestEigenpairDispatch:
         monkeypatch.setattr(np.linalg, "eigh", failed)
         with pytest.raises(EigenSolverError):
             _top_eigenpairs_array(np.eye(self.T), 2)
-
-
-class TestPseudoInverse:
-    def test_orthonormal_columns_give_transpose(self):
-        Y = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-        np.testing.assert_allclose(pseudo_inverse(Y), Y.T, atol=1e-12)
-
-    def test_scalar(self):
-        np.testing.assert_allclose(pseudo_inverse(np.array([[2.0]])), [[0.5]])
-
-    def test_penrose_identities(self, rng):
-        Y = rng.standard_normal((5, 2))
-        P = pseudo_inverse(Y)
-        np.testing.assert_allclose(Y @ P @ Y, Y, atol=1e-8)
-        np.testing.assert_allclose(P @ Y @ P, P, atol=1e-8)
-        np.testing.assert_allclose((Y @ P).T, Y @ P, atol=1e-8)
-        np.testing.assert_allclose((P @ Y).T, P @ Y, atol=1e-8)
-
-    def test_rank_deficient_thresholding(self):
-        Y = np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]])  # rank 1
-        P = pseudo_inverse(Y)
-        np.testing.assert_allclose(Y @ P @ Y, Y, atol=1e-8)
 
 
 class TestAffineRank:

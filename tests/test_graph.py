@@ -36,7 +36,7 @@ from stresstune.graph import (
     induced_subgraph_csr,
     shortest_paths_csr,
 )
-from conftest import block_budget, malformed_csv
+from conftest import block_budget, malformed_csv, patch_graph, small_graphs
 
 
 def line_config(*xs):
@@ -271,28 +271,6 @@ class TestHopNeighborhood:
             assert a <= b
 
 
-@hst.composite
-def small_graphs(draw):
-    """Graphs of up to 30 nodes, often disconnected, often with trailing isolated nodes.
-
-    Part of the weights are 0: stored zeros are edges too.
-    """
-    n = draw(hst.integers(1, 30))
-    pairs = draw(
-        hst.sets(
-            hst.tuples(hst.integers(0, n - 1), hst.integers(0, n - 1))
-            .filter(lambda t: t[0] != t[1])
-            .map(lambda t: (min(t), max(t))),
-            max_size=2 * n,
-        )
-    )
-    edges = sorted(pairs)
-    ei = np.array([a for a, _ in edges], dtype=np.int64)
-    ej = np.array([b for _, b in edges], dtype=np.int64)
-    w = draw(hst.lists(hst.sampled_from([0.0, 1.0, 1.0, 1.0]), min_size=len(edges), max_size=len(edges)))
-    return DissimilarityGraph(n, (ei, ej, np.array(w, dtype=np.float64)))
-
-
 class TestIsConnected:
     @settings(max_examples=150, deadline=None)
     @given(g=small_graphs())
@@ -427,24 +405,6 @@ class TestAllPairsShortestPaths:
             rhs = D[:, [k]] + D[[k], :]
             mask = finite & np.isfinite(rhs)
             assert (lhs[mask] <= rhs[mask] * (1 + 1e-9) + 1e-15).all()
-
-
-def patch_graph(seed: int, m: int, integer: bool, split: bool) -> DissimilarityGraph:
-    """Random sparse graph on ``m`` nodes, about a sixth of its weights zero.
-
-    With ``split`` no edge joins the two halves, so the graph is disconnected.
-    """
-    r = np.random.default_rng(seed)
-    i = r.integers(0, m, size=3 * m)
-    j = r.integers(0, m, size=3 * m)
-    if split:
-        j = np.where(i < m // 2, j % (m // 2), m // 2 + j % (m - m // 2))
-    keep = i != j
-    key = np.unique(np.minimum(i, j)[keep] * m + np.maximum(i, j)[keep])
-    ei, ej = key // m, key % m
-    w = r.integers(1, 10, size=key.size).astype(np.float64) if integer else r.uniform(0.1, 2.0, size=key.size)
-    w[r.uniform(size=key.size) < 1 / 6] = 0.0
-    return DissimilarityGraph(m, (ei, ej, w))
 
 
 class TestShortestPathsDispatch:

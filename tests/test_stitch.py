@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import assume, event, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as hst
 
 import oracles
 import stresstune.stitch as stitch_module
-from conftest import rotation
+from conftest import patch_graph, rotation, small_graphs
 from stresstune import (
     Configuration,
     DisconnectedGraphError,
@@ -60,13 +60,13 @@ class TestBuildPatch:
         members = ball(g, 0, 50)
         assert members.tolist() == list(range(12))
         whole = mds_d(g, 2)
-        np.testing.assert_array_equal(_embed_members(g, members, 0, 2, refine=False), whole.points)
+        np.testing.assert_array_equal(_embed_members(g, members, 2, refine=False), whole.points)
 
     def test_star_graph_local_fit(self):
         # Star around node 0, realizable in the plane.
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
         g = complete_graph(pts)
-        Y = _embed_members(g, ball(g, 0, 1), 0, 2, refine=True)
+        Y = _embed_members(g, ball(g, 0, 1), 2, refine=True)
         local = DissimilarityGraph(
             5, list(zip(g.ei.tolist(), g.ej.tolist(), g.weights.tolist()))
         )
@@ -81,7 +81,7 @@ class TestBuildPatch:
 
         def per_edge_stress(h):
             members = ball(g, center, h)
-            Y = _embed_members(g, members, center, 2, refine=True)
+            Y = _embed_members(g, members, 2, refine=True)
             index = {v: i for i, v in enumerate(members.tolist())}
             inside = [
                 (index[i], index[j], w)
@@ -93,36 +93,45 @@ class TestBuildPatch:
 
         assert per_edge_stress(2) < per_edge_stress(15)
 
-    def test_undersized_patch_rejected(self):
-        g = DissimilarityGraph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
-        with pytest.raises(PatchError, match="node 0"):
-            _embed_members(g, ball(g, 0, 1), 0, 2)
-
-    def test_disconnected_patch_impossible_by_construction(self):
-        # Hop neighborhoods are BFS balls, so the induced subgraph always
-        # contains a spanning tree of paths back to the center.
-        g = DissimilarityGraph(5, [(0, 1, 1.0), (0, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0)])
-        members = ball(g, 0, 2)
-        sub, _ = induced_subgraph_csr(g, members)
-        assert np.isfinite(shortest_paths_csr(sub)).all()
+    @settings(max_examples=150, deadline=None)
+    @given(
+        g=hst.one_of(
+            small_graphs(),
+            hst.builds(patch_graph, hst.integers(0, 2**32 - 1), hst.integers(2, 40), hst.booleans(), hst.just(True)),
+        ),
+        h=hst.integers(1, 4),
+    )
+    @example(g=DissimilarityGraph(5, [(0, 1, 1.0), (0, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0)]), h=2)
+    def test_disconnected_patch_impossible_by_construction(self, g, h):
+        # A hop ball holds a shortest hop path from its center to each member,
+        # and a stored zero is an edge, so every ball's completion is finite,
+        # on disconnected and split graphs too: _embed_members checks neither.
+        balls = hop_balls(g, h)
+        for v in range(g.n):
+            sub, _ = induced_subgraph_csr(g, balls.indices[balls.indptr[v] : balls.indptr[v + 1]])
+            assert np.isfinite(shortest_paths_csr(sub)).all()
 
 
 class TestMerge:
     def test_fully_placed_patch_changes_only_log(self, rng):
         pts = rng.uniform(size=(6, 2))
         g = complete_graph(pts)
-        coords, placed = pts.copy(), np.ones(6, dtype=bool)
+        coords = pts.copy()
         members = ball(g, 1, 1)
-        merge(coords, placed, members, _embed_members(g, members, 1, 2, refine=False), 1)
+        new = np.zeros(members.size, dtype=bool)
+        merge(coords, members, new, _embed_members(g, members, 2, refine=False), 1)
         np.testing.assert_array_equal(coords, pts)
-        assert placed.all()
         # On a 7-node path the plan logs node 0's ball, already placed by the
         # seed {0, 1, 2}, without a new node: mds_map_p only checks its overlap.
         path = DissimilarityGraph(7, [(i, i + 1, 1.0) for i in range(6)])
-        plan = list(_merge_plan(hop_balls(path, 1), 1))
-        assert plan[:3] == [(1, 0, True), (0, 2, False), (2, 2, True)]
+        plan = [(v, m.tolist(), new.tolist(), o) for v, m, new, o in _merge_plan(hop_balls(path, 1), 1)]
+        assert plan[:3] == [
+            (1, [0, 1, 2], [True, True, True], 0),
+            (0, [0, 1], [False, False], 2),
+            (2, [1, 2, 3], [False, False, True], 2),
+        ]
         _, gm = mds_map_p(path, 1, 1, return_global_map=True)
-        assert gm.merge_log == tuple((v, o) for v, o, _ in plan)
+        assert gm.merge_log == tuple((v, o) for v, _, _, o in plan)
 
     def test_rotated_patch_places_new_node_exactly(self, rng):
         pts = rng.uniform(size=(5, 2))
@@ -131,11 +140,9 @@ class TestMerge:
         Q = rotation(np.pi / 2)
         # Patch coordinates live in a rotated frame; the merge must undo it.
         coords = np.vstack([pts, [np.nan, np.nan]])
-        placed = np.array([True] * 5 + [False])
-        merge(coords, placed, np.arange(6), full @ Q.T, 0)
+        merge(coords, np.arange(6), np.array([False] * 5 + [True]), full @ Q.T, 0)
         np.testing.assert_allclose(coords[5], extra, atol=1e-9)
         np.testing.assert_array_equal(coords[:5], pts)
-        assert placed.all()
 
     def test_two_square_patches_realize_all_distances(self):
         # Two overlapping 2x3 blocks of the unit grid share a 2x2 column pair.
@@ -143,10 +150,8 @@ class TestMerge:
         g = complete_graph(grid)
         members = ball(g, 0, 3)
         coords = np.full((8, 2), np.nan)
-        placed = np.zeros(8, dtype=bool)
-        coords[members] = _embed_members(g, members, 0, 2, refine=False)
-        placed[members] = True
-        assert placed.all()  # complete graph saturates in one patch
+        coords[members] = _embed_members(g, members, 2, refine=False)
+        assert np.isfinite(coords).all()  # complete graph saturates in one patch
         got = np.sqrt(((coords[:, None] - coords[None]) ** 2).sum(-1))
         want = np.sqrt(((grid[:, None] - grid[None]) ** 2).sum(-1))
         np.testing.assert_allclose(got, want, atol=1e-8)
@@ -155,10 +160,10 @@ class TestMerge:
         pts = rng.uniform(size=(6, 2))
         g = complete_graph(pts)
         coords = np.vstack([pts[:2], np.full((4, 2), np.nan)])
-        placed = np.array([True, True, False, False, False, False])
-        local = _embed_members(g, ball(g, 0, 1), 0, 2, refine=False)
+        members = ball(g, 0, 1)
+        local = _embed_members(g, members, 2, refine=False)
         with pytest.raises(MergeError, match="larger neighborhood"):
-            merge(coords, placed, ball(g, 0, 1), local, 0)
+            merge(coords, members, members >= 2, local, 0)
 
     def test_matches_public_procrustes_path(self, monkeypatch):
         # Every merge of a stitch, replayed through procrustes on validated
@@ -167,9 +172,9 @@ class TestMerge:
         _, got = mds_map_p(g, 2, 2, final_refine=False, return_global_map=True)
         merged = []
 
-        def public_merge(coords, placed, members, local, center):
+        def public_merge(coords, members, new, local, center):
             merged.append(center)
-            oracles.merge_public(coords, placed, members, local)
+            oracles.merge_public(coords, members, new, local)
 
         monkeypatch.setattr(stitch_module, "merge", public_merge)
         _, want = mds_map_p(g, 2, 2, final_refine=False, return_global_map=True)
@@ -181,10 +186,10 @@ class TestMerge:
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [1.0, 1.0]])
         g = complete_graph(pts)
         coords = np.vstack([pts[:3], [[np.nan, np.nan]]])
-        placed = np.array([True, True, True, False])
-        local = _embed_members(g, ball(g, 0, 1), 0, 2, refine=False)
+        members = ball(g, 0, 1)
+        local = _embed_members(g, members, 2, refine=False)
         with pytest.raises(MergeError, match="degenerate"):
-            merge(coords, placed, ball(g, 0, 1), local, 0)
+            merge(coords, members, members == 3, local, 0)
 
 
 class TestMdsMapP:
@@ -278,6 +283,50 @@ class TestMdsMapP:
         assert stress(g, polished) <= stress(g, rough) * (1 + 1e-9)
 
 
+class TestTraceContract:
+    # The stitch-namespace names the benchmark tracer wraps; stitch must look
+    # each one up at call time for ``bench/run.py --trace 1`` to count it.
+    TRACED = ("induced_subgraph_csr", "shortest_paths_csr", "_classical_scaling_array",
+              "_smacof", "merge", "_check_overlap", "smacof_refine")
+
+    def test_counted_calls_match_merge_log(self, monkeypatch):
+        # Mirrors the benchmark's check of traced counts against a replay of
+        # the merge log: one embedding per merge plus the seed, and one
+        # overlap check outside ``merge`` per patch that adds no node.
+        calls, stack = [], []
+
+        def counted(name, original):
+            def call(*args, **kwargs):
+                calls.append((name, stack[-1] if stack else None))
+                stack.append(name)
+                try:
+                    return original(*args, **kwargs)
+                finally:
+                    stack.pop()
+
+            return call
+
+        for name in self.TRACED:
+            monkeypatch.setattr(stitch_module, name, counted(name, getattr(stitch_module, name)))
+        _, g = knn_instance(300, 8, 0.1, seed=3)
+        _, gm = mds_map_p(g, 2, 2, return_global_map=True)
+        count = {name: sum(1 for called, _ in calls if called == name) for name in self.TRACED}
+        merges = count["merge"]
+        skipped = sum(1 for called, parent in calls if called == "_check_overlap" and parent != "merge")
+        assert merges > 10 and skipped > 10
+        for name in ("induced_subgraph_csr", "shortest_paths_csr", "_classical_scaling_array", "_smacof"):
+            assert count[name] == merges + 1, name
+        assert count["_check_overlap"] == merges + skipped
+        assert count["smacof_refine"] == 1
+        assert len(gm.merge_log) == merges + skipped + 1
+        # The replay: an entry after the seed merges when its ball adds a node.
+        balls, placed, adds = hop_balls(g, 2), np.zeros(g.n, dtype=bool), []
+        for v, _ in gm.merge_log:
+            adds.append(not placed[balls[v].indices].all())
+            placed[balls[v].indices] = True
+        assert adds[0] and adds[1:].count(True) == merges and adds.count(False) == skipped
+
+
 @hst.composite
 def connected_graphs(draw):
     """Connected graphs of 3-24 nodes: a random spanning tree or a ring, plus
@@ -322,8 +371,15 @@ class TestMergePlan:
         triples = list(zip(g.ei.tolist(), g.ej.tolist(), g.weights.tolist()))
         want = oracles.merge_plan_loop(g.n, triples, h, p)
         balls = hop_balls(g, h)
+        placed = np.zeros(g.n, dtype=bool)
+        plan = []
         try:
-            plan = [(v, overlap) for v, overlap, _ in _merge_plan(balls, p)]
+            for v, members, new, overlap in _merge_plan(balls, p):
+                # Each step yields the center's ball, and its unplaced members as ``new``.
+                assert members.tolist() == balls[v].indices.tolist()
+                assert new.tolist() == (~placed[members]).tolist()
+                placed[members] = True
+                plan.append((v, overlap))
         except MergeError:
             plan = None
         assert plan == want

@@ -142,11 +142,19 @@ class TestSweepRowAndReport:
             SweepRow(h=2, stress=1.0, stress_per_edge=0.25, embedding_error=None,
                      scale_ratio=None, wall_time_s=0.2, failed=False),
         )
-        return SweepReport(rows=rows, selected_h=2)
+        return SweepReport(rows=rows)
 
     def test_selected_h_must_minimize(self):
+        # selected_h is derived from the rows, so no report can disagree with them.
         rows = self.make_report().rows
-        with pytest.raises(ValueError):
+        assert SweepReport(rows=rows).selected_h == 2
+        tied = SweepRow(h=3, stress=1.0, stress_per_edge=0.2, embedding_error=None,
+                        scale_ratio=None, wall_time_s=None, failed=False)
+        failed = SweepRow(h=4, stress=None, stress_per_edge=None, embedding_error=None,
+                          scale_ratio=None, wall_time_s=None, failed=True)
+        assert SweepReport(rows=(*rows, tied, failed)).selected_h == 2  # ties toward smaller h
+        assert SweepReport(rows=(rows[0], failed)).selected_h == 1  # failed rows are never selected
+        with pytest.raises(TypeError):
             SweepReport(rows=rows, selected_h=1)
 
     def test_failed_rows_carry_no_stress(self):
