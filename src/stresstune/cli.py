@@ -64,20 +64,18 @@ _SHAPE_NAMES = {
 }
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
-
-
 def _atomic_csv(path: Path, write_fn) -> None:
     tmp = path.with_name(path.name + ".tmp")
     write_fn(tmp)
     os.replace(tmp, path)
 
 
-def _write_meta(outdir: Path, meta: dict) -> None:
-    _atomic_write(outdir / "meta.json", json.dumps(meta, indent=2, sort_keys=True) + "\n")
+def _atomic_write(path: Path, text: str) -> None:
+    _atomic_csv(path, lambda tmp: tmp.write_text(text, encoding="utf-8"))
+
+
+def _write_json(path: Path, doc: dict) -> None:
+    _atomic_write(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _outdir(args) -> Path:
@@ -88,60 +86,29 @@ def _outdir(args) -> Path:
 
 def cmd_generate(args, parser) -> int:
     out = _outdir(args)
+    meta = {"command": "generate", "n_target": args.n, "jitter": args.jitter, "seed": args.seed}
     if args.manifold is None:
         shape = DomainShape.named(_SHAPE_NAMES[args.shape])
-        config = generate_shape(shape, args.n, jitter_frac=args.jitter, seed=args.seed)
-        g = knn_graph(config, args.k)
-        g = apply_multiplicative_noise(g, args.sigma, seed=args.seed + 1)
-        _atomic_csv(out / "config.csv", lambda p: write_configuration_csv(config, p))
-        _atomic_csv(out / "graph.csv", lambda p: write_edge_csv(g, p))
-        _write_meta(
-            out,
-            {
-                "command": "generate",
-                "mode": "shape",
-                "shape": args.shape,
-                "n_target": args.n,
-                "n_points": config.n,
-                "k": args.k,
-                "sigma": args.sigma,
-                "jitter": args.jitter,
-                "seed": args.seed,
-                "edges": g.edge_count,
-            },
-        )
-        return 0
-    alpha = args.alpha if args.alpha is not None else (10.0 if args.manifold == "s" else 50.0)
-    base = DomainShape.named(_SHAPE_NAMES[args.base])
-    planar = generate_shape(base, args.n, jitter_frac=args.jitter, seed=args.seed)
-    # The S lift bends in both directions around v = 0, so center its domain;
-    # the spiral lift needs v >= 0, so anchor the minimum corner instead.
-    truth = rescale_to_unit(planar, center=(args.manifold == "s"))
-    lifted = lift_s_surface(truth, alpha) if args.manifold == "s" else lift_swiss_roll(truth, alpha)
-    points3d = add_gaussian_noise(lifted, args.noise3d, seed=args.seed + 2)
-    r = default_radius(points3d, args.radius_multiple)
-    g = radius_graph(points3d, r)
+        truth = generate_shape(shape, args.n, jitter_frac=args.jitter, seed=args.seed)
+        g = apply_multiplicative_noise(knn_graph(truth, args.k), args.sigma, seed=args.seed + 1)
+        meta.update(mode="shape", shape=args.shape, k=args.k, sigma=args.sigma)
+    else:
+        alpha = args.alpha if args.alpha is not None else (10.0 if args.manifold == "s" else 50.0)
+        base = DomainShape.named(_SHAPE_NAMES[args.base])
+        planar = generate_shape(base, args.n, jitter_frac=args.jitter, seed=args.seed)
+        # The S lift bends in both directions around v = 0, so center its domain;
+        # the spiral lift needs v >= 0, so anchor the minimum corner instead.
+        truth = rescale_to_unit(planar, center=(args.manifold == "s"))
+        lift = lift_s_surface if args.manifold == "s" else lift_swiss_roll
+        points3d = add_gaussian_noise(lift(truth, alpha), args.noise3d, seed=args.seed + 2)
+        r = default_radius(points3d, args.radius_multiple)
+        g = radius_graph(points3d, r)
+        _atomic_csv(out / "points3d.csv", lambda p: write_configuration_csv(points3d, p))
+        meta.update(mode="manifold", manifold=args.manifold, base=args.base, alpha=alpha,
+                    noise3d=args.noise3d, radius_multiple=args.radius_multiple, radius=r)
     _atomic_csv(out / "config.csv", lambda p: write_configuration_csv(truth, p))
-    _atomic_csv(out / "points3d.csv", lambda p: write_configuration_csv(points3d, p))
     _atomic_csv(out / "graph.csv", lambda p: write_edge_csv(g, p))
-    _write_meta(
-        out,
-        {
-            "command": "generate",
-            "mode": "manifold",
-            "manifold": args.manifold,
-            "base": args.base,
-            "alpha": alpha,
-            "n_target": args.n,
-            "n_points": truth.n,
-            "noise3d": args.noise3d,
-            "radius_multiple": args.radius_multiple,
-            "radius": r,
-            "jitter": args.jitter,
-            "seed": args.seed,
-            "edges": g.edge_count,
-        },
-    )
+    _write_json(out / "meta.json", {**meta, "n_points": truth.n, "edges": g.edge_count})
     return 0
 
 
@@ -171,8 +138,8 @@ def cmd_sweep(args, parser) -> int:
         title=f"stress sweep (selected h={report.selected_h})",
     )
     _atomic_write(out / "sweep.svg", svg)
-    _write_meta(
-        out,
+    _write_json(
+        out / "meta.json",
         {
             "command": "sweep",
             "graph": str(args.graph),
@@ -247,7 +214,7 @@ def cmd_embed(args, parser) -> int:
     else:  # pragma: no cover - argparse restricts choices
         parser.error(f"unknown method {args.method}")
     _atomic_csv(out / "embedding.csv", lambda p: write_configuration_csv(config, p))
-    _write_meta(out, meta)
+    _write_json(out / "meta.json", meta)
     return 0
 
 
@@ -260,18 +227,13 @@ def cmd_align(args, parser) -> int:
     fit = procrustes(estimate, truth)
     aligned = fit.apply_configuration(estimate)
     _atomic_csv(out / "aligned.csv", lambda p: write_configuration_csv(aligned, p))
-    _atomic_write(
+    _write_json(
         out / "metrics.json",
-        json.dumps(
-            {
-                "aligned_error": report.error,
-                "normalized_rmse": report.normalized_rmse,
-                "scale_ratio": ratio,
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n",
+        {
+            "aligned_error": report.error,
+            "normalized_rmse": report.normalized_rmse,
+            "scale_ratio": ratio,
+        },
     )
     return 0
 
@@ -293,8 +255,8 @@ def cmd_cities(args, parser) -> int:
     truth = Configuration(np.column_stack([x, y]))
     _atomic_csv(out / "graph.csv", lambda p: write_edge_csv(g, p))
     _atomic_csv(out / "config.csv", lambda p: write_configuration_csv(truth, p))
-    _write_meta(
-        out,
+    _write_json(
+        out / "meta.json",
         {
             "command": "cities",
             "csv": str(args.csv),
@@ -308,9 +270,31 @@ def cmd_cities(args, parser) -> int:
     return 0
 
 
+def _checked(kind, ok, rule: str):
+    """An argparse type: ``kind(text)``, refused unless ``ok`` holds for the value.
+
+    Each rule is stated so that NaN fails it. The checker keeps ``kind``'s
+    name, so a value ``kind`` cannot read is reported as, e.g., ``invalid
+    float value``.
+    """
+
+    def parse(text: str):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must {rule}, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__
+    return parse
+
+
+_positive_int = _checked(int, lambda v: v >= 1, "be at least 1")
+_radius_multiple = _checked(float, lambda v: v >= 1.0, "be at least 1")
+
+
 def _hops_list(text: str) -> list[int]:
     try:
-        hops = [int(tok) for tok in text.split(",") if tok.strip()]
+        hops = [_positive_int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad hop list {text!r}; expected e.g. 1,2,3,5") from None
     if not hops:
@@ -331,21 +315,24 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--manifold", choices=["s", "swiss"])
     gen.add_argument("--base", choices=sorted(_SHAPE_NAMES), default="hollow",
                      help="planar domain lifted in manifold mode")
-    gen.add_argument("--n", type=int, required=True, help="target point count")
-    gen.add_argument("--k", type=int, default=DEFAULT_KNN)
-    gen.add_argument("--sigma", type=float, default=DEFAULT_SIGMA,
-                     help="multiplicative edge-noise level in [0, 1)")
-    gen.add_argument("--jitter", type=float, default=0.2, help="grid jitter fraction in [0, 0.5)")
+    gen.add_argument("--n", type=_checked(int, lambda v: v >= 4, "be at least 4"), required=True,
+                     help="target point count")
+    gen.add_argument("--k", type=_positive_int, default=DEFAULT_KNN)
+    gen.add_argument("--sigma", type=_checked(float, lambda v: 0.0 <= v < 1.0, "lie in [0, 1)"),
+                     default=DEFAULT_SIGMA, help="multiplicative edge-noise level in [0, 1)")
+    gen.add_argument("--jitter", type=_checked(float, lambda v: 0.0 <= v < 0.5, "lie in [0, 0.5)"),
+                     default=0.2, help="grid jitter fraction in [0, 0.5)")
     gen.add_argument("--alpha", type=float, default=None,
                      help="lift curvature (defaults: 10 for s, 50 for swiss)")
-    gen.add_argument("--noise3d", type=float, default=0.0, help="ambient Gaussian noise sigma")
-    gen.add_argument("--radius-multiple", type=float, default=DEFAULT_RADIUS_MULTIPLE)
+    gen.add_argument("--noise3d", type=_checked(float, lambda v: v >= 0.0, "be nonnegative"),
+                     default=0.0, help="ambient Gaussian noise sigma")
+    gen.add_argument("--radius-multiple", type=_radius_multiple, default=DEFAULT_RADIUS_MULTIPLE)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", required=True)
 
     sw = sub.add_parser("sweep", help="sweep hop radii and pick the stress minimizer")
     sw.add_argument("--graph", required=True)
-    sw.add_argument("--p", type=int, default=2)
+    sw.add_argument("--p", type=_positive_int, default=2)
     sw.add_argument("--hops", type=_hops_list, required=True, help="comma-separated, e.g. 1,2,3,5")
     sw.add_argument("--truth", default=None)
     sw.add_argument("--no-patch-refine", action="store_true")
@@ -359,10 +346,10 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=["cs", "mdsd", "mdsmapp", "seqtrilat", "isomap-local"])
     em.add_argument("--graph", default=None)
     em.add_argument("--points", default=None, help="ambient points CSV for isomap-local")
-    em.add_argument("--p", type=int, default=2)
-    em.add_argument("--hops", type=int, default=None)
-    em.add_argument("--radius", type=float, default=None)
-    em.add_argument("--radius-multiple", type=float, default=DEFAULT_RADIUS_MULTIPLE)
+    em.add_argument("--p", type=_positive_int, default=2)
+    em.add_argument("--hops", type=_positive_int, default=None)
+    em.add_argument("--radius", type=_checked(float, lambda v: v > 0.0, "be positive"), default=None)
+    em.add_argument("--radius-multiple", type=_radius_multiple, default=DEFAULT_RADIUS_MULTIPLE)
     em.add_argument("--no-patch-refine", action="store_true")
     em.add_argument("--no-final-refine", action="store_true")
     em.add_argument("--out", required=True)
@@ -374,42 +361,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     ci = sub.add_parser("cities", help="build a haversine k-NN graph from a city CSV")
     ci.add_argument("--csv", required=True)
-    ci.add_argument("--k", type=int, default=CITY_KNN)
+    ci.add_argument("--k", type=_positive_int, default=CITY_KNN)
     ci.add_argument("--out", required=True)
     return parser
-
-
-def _validate(args, parser) -> None:
-    if args.command == "generate":
-        if not 0.0 <= args.sigma < 1.0:
-            parser.error(f"--sigma must lie in [0, 1), got {args.sigma}")
-        if not 0.0 <= args.jitter < 0.5:
-            parser.error(f"--jitter must lie in [0, 0.5), got {args.jitter}")
-        if args.n < 4:
-            parser.error("--n must be at least 4")
-        if args.k < 1:
-            parser.error("--k must be at least 1")
-        if args.noise3d < 0:
-            parser.error("--noise3d must be nonnegative")
-        if args.radius_multiple < 1.0:
-            parser.error("--radius-multiple must be >= 1")
-    elif args.command == "sweep":
-        if args.p < 1:
-            parser.error("--p must be at least 1")
-        if any(h < 1 for h in args.hops):
-            parser.error("--hops values must be >= 1")
-    elif args.command == "embed":
-        if args.p < 1:
-            parser.error("--p must be at least 1")
-        if args.hops is not None and args.hops < 1:
-            parser.error("--hops must be >= 1")
-        if args.radius is not None and args.radius <= 0:
-            parser.error("--radius must be positive")
-        if args.radius_multiple < 1.0:
-            parser.error("--radius-multiple must be >= 1")
-    elif args.command == "cities":
-        if args.k < 1:
-            parser.error("--k must be at least 1")
 
 
 _COMMANDS = {
@@ -424,7 +378,6 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _validate(args, parser)
     try:
         return _COMMANDS[args.command](args, parser)
     except (StressTuneError, ValueError, KeyError, OSError) as exc:

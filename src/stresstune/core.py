@@ -87,14 +87,13 @@ class Configuration:
     points: np.ndarray
 
     def __post_init__(self):
-        pts = np.array(self.points, dtype=np.float64, order="C", copy=True)
+        pts = _frozen_array(self.points)
         if pts.ndim != 2:
             raise ValueError("points must be a 2-d array of shape (n, p)")
         if pts.shape[0] < 1 or pts.shape[1] < 1:
             raise ValueError("need n >= 1 points with dimension p >= 1")
         if not np.isfinite(pts).all():
             raise ValueError("coordinates must be finite")
-        pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 
     def __reduce__(self):
@@ -121,7 +120,7 @@ class DenseSymmetricMatrix:
     allow_infinite: bool = False
 
     def __post_init__(self):
-        v = np.array(self.values, dtype=np.float64, order="C", copy=True)
+        v = _frozen_array(self.values)
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
             raise ValueError("matrix must be square")
         # One row block at a time, so the copy is the only n x n array held.
@@ -146,7 +145,6 @@ class DenseSymmetricMatrix:
             raise ValueError("infinite entries are not permitted here")
         if gap > SYMMETRY_ATOL:
             raise ValueError(f"matrix is not symmetric within {SYMMETRY_ATOL:g} (max gap {gap:g})")
-        v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
     def __reduce__(self):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Configuration, DenseSymmetricMatrix
+from .core import Configuration, DenseSymmetricMatrix, StressTuneError, _frozen_array
 from .graph import DissimilarityGraph
 
 EARTH_RADIUS_KM = 6371.0088
@@ -201,8 +201,8 @@ def lift_s_surface(config: Configuration, alpha: float = 10.0) -> Configuration:
     """
     if config.p != 2:
         raise ValueError("lift expects a planar configuration")
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not 0 < alpha < np.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
     v = config.points[:, 0]
     u = config.points[:, 1]
     t = alpha * v
@@ -225,7 +225,7 @@ def _invert_swiss_arclength(v: np.ndarray, alpha: float) -> np.ndarray:
         if np.abs(f).max(initial=0.0) <= _ARCLENGTH_TOL:
             return s
         s = np.clip(s - f / np.sqrt(1.0 + (alpha * s) ** 2), 0.0, v)
-    raise RuntimeError("arc-length inversion did not converge")
+    raise StressTuneError("arc-length inversion did not converge")
 
 
 def lift_swiss_roll(config: Configuration, alpha: float = 50.0) -> Configuration:
@@ -237,8 +237,8 @@ def lift_swiss_roll(config: Configuration, alpha: float = 50.0) -> Configuration
     """
     if config.p != 2:
         raise ValueError("lift expects a planar configuration")
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not 0 < alpha < np.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
     v = config.points[:, 0]
     u = config.points[:, 1]
     if (v < 0).any():
@@ -257,8 +257,8 @@ class CityTable:
     lon: np.ndarray
 
     def __post_init__(self):
-        lat = np.array(self.lat, dtype=np.float64, copy=True)
-        lon = np.array(self.lon, dtype=np.float64, copy=True)
+        lat = _frozen_array(self.lat)
+        lon = _frozen_array(self.lon)
         names = tuple(str(s) for s in self.names)
         if not names or lat.shape != (len(names),) or lon.shape != (len(names),):
             raise ValueError("names, lat and lon must be equal-length and nonempty")
@@ -268,8 +268,6 @@ class CityTable:
             raise ValueError("latitudes must lie in [-90, 90]")
         if (np.abs(lon) > 180.0).any():
             raise ValueError("longitudes must lie in [-180, 180]")
-        lat.setflags(write=False)
-        lon.setflags(write=False)
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "lat", lat)
         object.__setattr__(self, "lon", lon)

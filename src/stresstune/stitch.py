@@ -23,6 +23,7 @@ from .core import (
     Configuration,
     DisconnectedGraphError,
     StressTuneError,
+    _frozen_array,
     affine_rank,
 )
 from .embed import (
@@ -62,12 +63,11 @@ class GlobalMap:
     merge_log: tuple[tuple[int, int], ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        coords = np.array(self.coords, dtype=np.float64, copy=True)
+        coords = _frozen_array(self.coords)
         if coords.ndim != 2:
             raise ValueError("coords must be an (n, p) array")
         if not np.isfinite(coords).all():
             raise ValueError("coordinates must be finite")
-        coords.setflags(write=False)
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "merge_log", tuple(self.merge_log))
 
@@ -96,16 +96,12 @@ def _embed_members(
 
 def _check_overlap(coords: np.ndarray, overlap: np.ndarray, center: int) -> None:
     """Raise unless a patch's placed ``overlap`` pins down a ``p``-dimensional fit."""
-    p = coords.shape[1]
-    if overlap.size < p + 1:
+    # Fewer than p + 1 points have affine rank below p, so this also refuses
+    # an overlap too small to fit.
+    if affine_rank(coords[overlap]) < coords.shape[1]:
         raise MergeError(
-            f"patch at node {center} overlaps only {overlap.size} placed nodes; "
-            f"need at least {p + 1} (try a larger neighborhood h)"
-        )
-    if affine_rank(coords[overlap]) < p:
-        raise MergeError(
-            f"placed overlap of patch at node {center} is affinely degenerate "
-            f"(try a larger neighborhood h)"
+            f"placed overlap of patch at node {center} ({overlap.size} nodes) is affinely "
+            f"degenerate (try a larger neighborhood h)"
         )
 
 

@@ -262,9 +262,10 @@ def _sweep_in_processes(hs: list[int], workers: int, args: tuple) -> dict:
                 raise
     except BrokenProcessPool as exc:
         raise StressTuneError(
-            "a sweep worker process died; a script that sweeps with workers must "
-            'start it under an `if __name__ == "__main__":` guard, because spawned '
-            "workers import the main module"
+            "a sweep worker process died: a signal or the out-of-memory killer may "
+            "have ended it, or the calling script lacks an "
+            '`if __name__ == "__main__":` guard (spawned workers import the main '
+            "module, so a script that sweeps with workers must start the sweep under one)"
         ) from exc
 
 

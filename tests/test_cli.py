@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -6,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 import oracles
 from stresstune import (
@@ -14,7 +17,7 @@ from stresstune import (
     read_configuration_csv,
     read_edge_csv,
 )
-from stresstune.cli import main
+from stresstune.cli import build_parser, main
 
 
 def run(args):
@@ -36,6 +39,8 @@ class TestGenerate:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
         meta = json.loads((out1 / "meta.json").read_text())
         assert meta["sigma"] == 0.15 and meta["seed"] == 7
+        assert set(meta) == {"command", "mode", "shape", "n_target", "n_points", "k", "sigma",
+                             "jitter", "seed", "edges"}
 
     def test_sigma_out_of_range_exits_2(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -52,6 +57,18 @@ class TestGenerate:
         points3d = (out / "points3d.csv").read_text().splitlines()
         assert len(config) == len(points3d)
         assert read_configuration_csv(out / "points3d.csv").p == 3
+        meta = json.loads((out / "meta.json").read_text())
+        assert set(meta) == {"command", "mode", "manifold", "base", "alpha", "n_target",
+                             "n_points", "noise3d", "radius_multiple", "radius", "jitter",
+                             "seed", "edges"}
+
+    @pytest.mark.parametrize("alpha", ["inf", "1e300"])
+    def test_extreme_alpha_exits_1(self, tmp_path, capsys, alpha):
+        # inf is refused by the lift; 1e300 overflows the arc-length inversion.
+        assert run(["generate", "--manifold", "swiss", "--n", 200, "--alpha", alpha,
+                    "--out", tmp_path / "m"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("stresstune: error:") and "Traceback" not in err
 
     def test_manifold_and_shape_mutually_exclusive(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -240,6 +257,84 @@ class TestEmbedAndAlign:
         assert metrics["scale_ratio"] == pytest.approx(1.0)
         aligned = read_configuration_csv(out / "aligned.csv")
         np.testing.assert_allclose(aligned.points, pts, atol=1e-9)
+
+
+# The post-parse rules the CLI enforced before each flag got a checking
+# argparse type: (subcommand and required arguments, flag, value type, refused).
+# NaN slipped past the rules written as "refuse when below the bound".
+_OLD_RULES = [
+    (["generate", "--shape", "rectangle", "--n", "100"], "--n", int, lambda v: v < 4),
+    (["generate", "--shape", "rectangle", "--n", "100"], "--k", int, lambda v: v < 1),
+    (["generate", "--shape", "rectangle", "--n", "100"], "--sigma", float,
+     lambda v: not 0.0 <= v < 1.0),
+    (["generate", "--shape", "rectangle", "--n", "100"], "--jitter", float,
+     lambda v: not 0.0 <= v < 0.5),
+    (["generate", "--shape", "rectangle", "--n", "100"], "--noise3d", float, lambda v: v < 0),
+    (["generate", "--shape", "rectangle", "--n", "100"], "--radius-multiple", float,
+     lambda v: v < 1.0),
+    (["sweep", "--graph", "g.csv", "--hops", "1"], "--p", int, lambda v: v < 1),
+    (["sweep", "--graph", "g.csv", "--hops", "1"], "--hops", int, lambda v: v < 1),
+    (["embed", "--method", "mdsmapp"], "--p", int, lambda v: v < 1),
+    (["embed", "--method", "mdsmapp"], "--hops", int, lambda v: v < 1),
+    (["embed", "--method", "mdsmapp"], "--radius", float, lambda v: v <= 0),
+    (["embed", "--method", "mdsmapp"], "--radius-multiple", float, lambda v: v < 1.0),
+    (["cities", "--csv", "c.csv"], "--k", int, lambda v: v < 1),
+]
+
+_FLOAT_EDGES = [0.0, -0.0, 0.5, 1.0, math.nan, math.inf, -math.inf]
+
+
+class TestFlagRules:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        rule=hst.sampled_from(_OLD_RULES),
+        i=hst.integers(-3, 6) | hst.integers(),
+        x=hst.sampled_from(_FLOAT_EDGES) | hst.floats(-2.0, 2.0) | hst.floats(),
+    )
+    def test_value_exits_2_exactly_when_the_old_rule_refused_it_or_it_is_nan(self, rule, i, x):
+        head, flag, kind, refused = rule
+        value = i if kind is int else x
+        # A sweep's --hops is a list; its values are checked one by one.
+        text = f"1,{value!r}" if (head[0], flag) == ("sweep", "--hops") else repr(value)
+        argv = [*head, "--out", "o", f"{flag}={text}"]
+        if refused(value) or (kind is float and math.isnan(value)):
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args(argv)
+            assert exc.value.code == 2
+        else:
+            got = getattr(build_parser().parse_args(argv), flag[2:].replace("-", "_"))
+            assert got == ([1, value] if isinstance(got, list) else value)
+
+    @pytest.mark.parametrize("argv", [
+        ["generate", "--manifold", "swiss", "--n", "200", "--radius-multiple", "nan"],
+        ["generate", "--manifold", "swiss", "--n", "200", "--noise3d", "nan"],
+        ["embed", "--method", "isomap-local", "--points", "p.csv", "--hops", "2",
+         "--radius", "nan"],
+        ["embed", "--method", "isomap-local", "--points", "p.csv", "--hops", "2",
+         "--radius-multiple", "nan"],
+    ])
+    def test_nan_names_the_flag(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run([*argv, "--out", tmp_path / "o"])
+        assert exc.value.code == 2
+        assert f"argument {argv[-2]}: must " in capsys.readouterr().err
+
+    def test_unreadable_number_names_its_type(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["generate", "--shape", "rectangle", "--n", 100, "--sigma", "x",
+                 "--out", tmp_path / "x"])
+        assert exc.value.code == 2
+        assert "argument --sigma: invalid float value: 'x'" in capsys.readouterr().err
+
+    def test_infinite_radius_builds_a_complete_graph(self, tmp_path):
+        data, out = tmp_path / "data", tmp_path / "emb"
+        assert run(["generate", "--manifold", "swiss", "--n", 60, "--seed", 1,
+                    "--out", data]) == 0
+        assert run(["embed", "--method", "isomap-local", "--points", data / "points3d.csv",
+                    "--hops", 1, "--radius", "inf", "--out", out]) == 0
+        n = read_configuration_csv(data / "points3d.csv").n
+        assert read_configuration_csv(out / "embedding.csv").n == n
+        assert json.loads((out / "meta.json").read_text())["radius"] == math.inf
 
 
 class TestCities:

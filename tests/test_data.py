@@ -154,6 +154,11 @@ class TestLiftSSurface:
         with pytest.raises(ValueError):
             lift_s_surface(Configuration(rng.uniform(size=(4, 3))))
 
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, np.nan, np.inf, -np.inf])
+    def test_alpha_must_be_positive_and_finite(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be positive and finite"):
+            lift_s_surface(Configuration(np.array([[0.1, 0.0], [0.2, 0.5]])), alpha=alpha)
+
 
 class TestLiftSwissRoll:
     def test_zero_arc_length_start(self):
@@ -185,6 +190,11 @@ class TestLiftSwissRoll:
     def test_negative_v_rejected(self):
         with pytest.raises(ValueError):
             lift_swiss_roll(Configuration(np.array([[-0.1, 0.0]])), alpha=50.0)
+
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, np.nan, np.inf, -np.inf])
+    def test_alpha_must_be_positive_and_finite(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be positive and finite"):
+            lift_swiss_roll(Configuration(np.array([[0.1, 0.0], [0.2, 0.5]])), alpha=alpha)
 
 
 class TestAddGaussianNoise:

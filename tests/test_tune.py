@@ -303,6 +303,16 @@ class TestSweepHops:
         assert last.startswith("stresstune.core.StressTuneError:")
         assert 'if __name__ == "__main__":' in last
 
+    def test_worker_killed_by_a_signal_fails_with_stress_tune_error(self):
+        class KillsItsUnpickler:
+            def __reduce__(self):
+                return signal.raise_signal, (signal.SIGKILL,)
+
+        # The worker dies by SIGKILL while it reads its task.
+        with pytest.raises(StressTuneError, match="signal") as exc:
+            tune._sweep_in_processes([1], 1, (KillsItsUnpickler(),))
+        assert 'if __name__ == "__main__":' in str(exc.value)
+
     @pytest.mark.skipif(not Path(f"/proc/{os.getpid()}/task").is_dir(), reason="needs Linux /proc")
     def test_workers_exit_when_the_sweep_is_killed(self, tmp_path):
         # The parent dies without shutting the pool down; each worker must
