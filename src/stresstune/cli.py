@@ -190,7 +190,7 @@ def cmd_embed(args, parser) -> int:
         ordering = find_trilaterative_ordering(g, args.p)
         if ordering is None:
             raise StressTuneError("no trilaterative ordering found for this graph")
-        config = sequential_trilateration(g, ordering, args.p)
+        config = sequential_trilateration(g, ordering)
         meta["seed_clique"] = list(ordering.seed_clique)
     elif args.method == "isomap-local":
         if not args.points:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Configuration, DenseSymmetricMatrix, StressTuneError, _frozen_array
+from .core import Configuration, DenseSymmetricMatrix, StressTuneError, _frozen_array, affine_rank
 from .graph import DissimilarityGraph
 
 EARTH_RADIUS_KM = 6371.0088
@@ -190,6 +190,13 @@ def rescale_to_unit(config: Configuration, center: bool = False) -> Configuratio
     return Configuration((pts - lo) / span)
 
 
+def _lifted(config: Configuration, points: np.ndarray, alpha: float) -> Configuration:
+    # A huge alpha shrinks the curved direction below round-off, flattening the surface.
+    if affine_rank(points) < affine_rank(config.points):
+        raise ValueError(f"alpha {alpha} is too large for the domain's extent: the lift collapses")
+    return Configuration(points)
+
+
 def lift_s_surface(config: Configuration, alpha: float = 10.0) -> Configuration:
     """Lift a planar configuration onto an S-shaped surface in R^3.
 
@@ -197,7 +204,7 @@ def lift_s_surface(config: Configuration, alpha: float = 10.0) -> Configuration:
     unit speed: ``(sin(a v)/a, u, sign(a v) (cos(a v) - 1)/a)``. The two
     bending arcs have period ``2*pi/a``, so keep ``|a v| < 3*pi/2`` per side
     (e.g. via :func:`rescale_to_unit` with ``center=True``) to avoid
-    self-intersection.
+    self-intersection. An alpha that flattens the lift raises ``ValueError``.
     """
     if config.p != 2:
         raise ValueError("lift expects a planar configuration")
@@ -208,7 +215,7 @@ def lift_s_surface(config: Configuration, alpha: float = 10.0) -> Configuration:
     t = alpha * v
     x = np.sin(t) / alpha
     z = np.sign(t) * (np.cos(t) - 1.0) / alpha
-    return Configuration(np.column_stack([x, u, z]))
+    return _lifted(config, np.column_stack([x, u, z]), alpha)
 
 
 def _swiss_arclength(s: np.ndarray, alpha: float) -> np.ndarray:
@@ -220,11 +227,15 @@ def _invert_swiss_arclength(v: np.ndarray, alpha: float) -> np.ndarray:
     # F is increasing and convex with F(s) >= s, so Newton started at s = v
     # descends monotonically onto the root; clipping just guards round-off.
     s = v.copy()
-    for _ in range(200):
-        f = _swiss_arclength(s, alpha) - v
-        if np.abs(f).max(initial=0.0) <= _ARCLENGTH_TOL:
-            return s
-        s = np.clip(s - f / np.sqrt(1.0 + (alpha * s) ** 2), 0.0, v)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for _ in range(200):
+                f = _swiss_arclength(s, alpha) - v
+                if np.abs(f).max(initial=0.0) <= _ARCLENGTH_TOL:
+                    return s
+                s = np.clip(s - f / np.sqrt(1.0 + (alpha * s) ** 2), 0.0, v)
+    except FloatingPointError:
+        pass  # alpha * s overflows: alpha is too large for this v
     raise StressTuneError("arc-length inversion did not converge")
 
 
@@ -233,7 +244,8 @@ def lift_swiss_roll(config: Configuration, alpha: float = 50.0) -> Configuration
 
     The first planar coordinate ``v >= 0`` is arc length along the spiral
     ``s -> (s cos(a s), s sin(a s))``; the radial parameter solves
-    ``integral_0^s sqrt(1 + (a t)^2) dt = v`` to within 1e-10.
+    ``integral_0^s sqrt(1 + (a t)^2) dt = v`` to within 1e-10. An alpha that
+    flattens the lift below the input's affine rank raises ``ValueError``.
     """
     if config.p != 2:
         raise ValueError("lift expects a planar configuration")
@@ -245,7 +257,7 @@ def lift_swiss_roll(config: Configuration, alpha: float = 50.0) -> Configuration
         raise ValueError("the curved coordinate must be nonnegative for the spiral lift")
     s = _invert_swiss_arclength(v, alpha)
     t = alpha * s
-    return Configuration(np.column_stack([s * np.cos(t), u, s * np.sin(t)]))
+    return _lifted(config, np.column_stack([s * np.cos(t), u, s * np.sin(t)]), alpha)
 
 
 @dataclass(frozen=True)

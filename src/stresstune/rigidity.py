@@ -161,10 +161,8 @@ def find_trilaterative_ordering(g: DissimilarityGraph, p: int) -> TrilaterativeO
     return None
 
 
-def sequential_trilateration(
-    g: DissimilarityGraph, ordering: TrilaterativeOrdering, p: int
-) -> Configuration:
-    """Embed along a trilaterative ordering.
+def sequential_trilateration(g: DissimilarityGraph, ordering: TrilaterativeOrdering) -> Configuration:
+    """Embed along a trilaterative ordering, in the ordering's dimension ``p``.
 
     The seed clique is embedded by classical scaling of its (complete)
     dissimilarity submatrix; every later vertex is trilaterated from all of
@@ -174,10 +172,9 @@ def sequential_trilateration(
     README's hollow rectangle with 15% edge noise the normalized RMSE is
     84.5; use :func:`~stresstune.stitch.mds_map_p` for noisy data.
     """
-    if ordering.p != p:
-        raise ValueError("ordering was built for a different dimension")
     if len(ordering.order) != g.n:
         raise ValueError("ordering must cover every node")
+    p = ordering.p
     seed = ordering.seed_clique
     k = len(seed)
     try:

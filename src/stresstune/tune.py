@@ -13,6 +13,7 @@ import json
 import os
 import time
 from dataclasses import dataclass, fields
+from itertools import repeat
 
 import numpy as np
 
@@ -180,29 +181,21 @@ def _sweep_one(
     try:
         config = mds_map_p(g, h, p, refine_patches=refine_patches, final_refine=final_refine)
     except StressTuneError:
-        return (
-            SweepRow(
-                h=h,
-                stress=None,
-                stress_per_edge=None,
-                embedding_error=None,
-                scale_ratio=None,
-                wall_time_s=time.perf_counter() - start,
-                failed=True,
-            ),
-            None,
-        )
-    s = stress(g, config)
-    err = aligned_error(config, truth) if truth is not None else None
-    ratio = scale_ratio(config, truth) if truth is not None else None
+        config = None
+    s = per_edge = err = ratio = None
+    if config is not None:
+        s = stress(g, config)
+        per_edge = s / g.edge_count if g.edge_count else 0.0
+        if truth is not None:
+            err, ratio = aligned_error(config, truth), scale_ratio(config, truth)
     row = SweepRow(
         h=h,
         stress=s,
-        stress_per_edge=s / g.edge_count if g.edge_count else 0.0,
+        stress_per_edge=per_edge,
         embedding_error=err,
         scale_ratio=ratio,
         wall_time_s=time.perf_counter() - start,
-        failed=False,
+        failed=config is None,
     )
     return row, config
 
@@ -229,9 +222,9 @@ def _exit_with_parent() -> None:
 def _sweep_in_processes(hs: list[int], workers: int, args: tuple) -> dict:
     """``{h: _sweep_one(h, *args)}`` from a pool of spawned worker processes.
 
-    The largest (slowest) hop values are submitted first; results are keyed
-    by h, so they do not depend on the schedule. Each worker exits when this
-    process dies, even when it is killed mid-sweep.
+    Hop values go largest (slowest) first, and the first error in that order
+    surfaces as itself; results are keyed by h, so they do not depend on the
+    schedule. Each worker exits when this process dies, even if it is killed.
     """
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -246,20 +239,16 @@ def _sweep_in_processes(hs: list[int], workers: int, args: tuple) -> dict:
         ) as pool:
             try:
                 # Workers copy the environment when they start, and with spawn
-                # they start during submission, one per task until the pool is full.
+                # they start as map submits the tasks, all before it returns.
                 os.environ.update({var: "1" for var in _BLAS_THREAD_VARS})
-                futures = {h: pool.submit(_sweep_one, h, *args) for h in reversed(hs)}
+                outcomes = pool.map(_sweep_one, hs[::-1], *(repeat(a) for a in args))
             finally:
                 for var, value in saved.items():
                     if value is None:
                         os.environ.pop(var, None)
                     else:
                         os.environ[var] = value
-            try:
-                return {h: futures[h].result() for h in hs}
-            except BaseException:
-                pool.shutdown(cancel_futures=True)
-                raise
+            return dict(zip(hs[::-1], outcomes))
     except BrokenProcessPool as exc:
         raise StressTuneError(
             "a sweep worker process died: a signal or the out-of-memory killer may "
@@ -304,7 +293,7 @@ def sweep_hops(
     if workers > 1:
         outcomes = _sweep_in_processes(hs, workers, args)
     else:
-        outcomes = {h: _sweep_one(h, *args) for h in hs}
+        outcomes = {h: _sweep_one(h, *args) for h in hs[::-1]}
 
     rows = []
     for h in hs:

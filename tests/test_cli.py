@@ -62,10 +62,13 @@ class TestGenerate:
                              "n_points", "noise3d", "radius_multiple", "radius", "jitter",
                              "seed", "edges"}
 
-    @pytest.mark.parametrize("alpha", ["inf", "1e300"])
-    def test_extreme_alpha_exits_1(self, tmp_path, capsys, alpha):
-        # inf is refused by the lift; 1e300 overflows the arc-length inversion.
-        assert run(["generate", "--manifold", "swiss", "--n", 200, "--alpha", alpha,
+    @pytest.mark.parametrize("manifold, alpha", [
+        pytest.param("swiss", "inf", id="inf"),  # refused by the lift
+        pytest.param("swiss", "1e300", id="1e300"),  # overflows the arc-length inversion
+        pytest.param("s", "1e300", id="s-1e300"),  # flattens the S surface onto a line
+    ])
+    def test_extreme_alpha_exits_1(self, tmp_path, capsys, manifold, alpha):
+        assert run(["generate", "--manifold", manifold, "--n", 200, "--alpha", alpha,
                     "--out", tmp_path / "m"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("stresstune: error:") and "Traceback" not in err

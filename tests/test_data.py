@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from stresstune import (
     DissimilarityGraph,
     DomainShape,
     EARTH_RADIUS_KM,
+    StressTuneError,
     add_gaussian_noise,
     apply_multiplicative_noise,
     generate_shape,
@@ -159,6 +162,14 @@ class TestLiftSSurface:
         with pytest.raises(ValueError, match="alpha must be positive and finite"):
             lift_s_surface(Configuration(np.array([[0.1, 0.0], [0.2, 0.5]])), alpha=alpha)
 
+    def test_alpha_that_collapses_the_surface_refused(self, rng):
+        # At alpha 1e12 the curved coordinates shrink below 1e-12, so the
+        # lifted square has affine rank 1, below the input's 2.
+        square = Configuration(rng.uniform(-0.5, 0.5, size=(30, 2)))
+        assert lift_s_surface(square, alpha=1e9).p == 3
+        with pytest.raises(ValueError, match="too large for the domain's extent"):
+            lift_s_surface(square, alpha=1e12)
+
 
 class TestLiftSwissRoll:
     def test_zero_arc_length_start(self):
@@ -195,6 +206,20 @@ class TestLiftSwissRoll:
     def test_alpha_must_be_positive_and_finite(self, alpha):
         with pytest.raises(ValueError, match="alpha must be positive and finite"):
             lift_swiss_roll(Configuration(np.array([[0.1, 0.0], [0.2, 0.5]])), alpha=alpha)
+
+    def test_alpha_that_collapses_the_roll_refused(self, rng):
+        # The arc-length inversion converges at alpha 1e30, but the radii it
+        # returns are below 1e-14, so the roll flattens onto its straight axis.
+        square = Configuration(rng.uniform(size=(30, 2)))
+        with pytest.raises(ValueError, match="too large for the domain's extent"):
+            lift_swiss_roll(square, alpha=1e30)
+
+    def test_overflowing_alpha_raises_without_warnings(self, rng):
+        square = Configuration(rng.uniform(size=(30, 2)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StressTuneError, match="did not converge"):
+                lift_swiss_roll(square, alpha=1e200)
 
 
 class TestAddGaussianNoise:

@@ -127,11 +127,11 @@ class TestFindOrdering:
         D[1, 2] = D[2, 1] = 1.5 * (D[0, 1] + D[0, 2])
         g = DissimilarityGraph(6, [(i, j, D[i, j]) for i in range(6) for j in range(i + 1, 6)])
         with pytest.raises(DegenerateGeometryError):
-            sequential_trilateration(g, TrilaterativeOrdering(p=2, order=(0, 1, 2, 3, 4, 5)), 2)
+            sequential_trilateration(g, TrilaterativeOrdering(p=2, order=(0, 1, 2, 3, 4, 5)))
         ordering = find_trilaterative_ordering(g, 2)
         assert ordering.seed_clique == (0, 1, 3)
         assert verify_trilaterative_ordering(g, ordering)
-        assert np.isfinite(sequential_trilateration(g, ordering, 2).points).all()
+        assert np.isfinite(sequential_trilateration(g, ordering).points).all()
 
     def test_verifier_rejects_bogus_ordering(self):
         g = path_graph(4)
@@ -235,7 +235,7 @@ class TestSequentialTrilateration:
         cfg, g = self.rgg(seed=7)
         ordering = find_trilaterative_ordering(g, 2)
         assert ordering is not None
-        out = sequential_trilateration(g, ordering, 2)
+        out = sequential_trilateration(g, ordering)
         assert aligned_error(out, cfg) <= 1e-6 * diameter(cfg)
 
     def test_error_grows_with_noise_but_constant_is_bounded(self):
@@ -250,7 +250,7 @@ class TestSequentialTrilateration:
             per_seed = []
             for seed in range(10):
                 noisy = apply_multiplicative_noise(g, delta, seed=seed)
-                out = sequential_trilateration(noisy, ordering, 2)
+                out = sequential_trilateration(noisy, ordering)
                 err = aligned_error(out, cfg)
                 eps_sq = ((2 * delta + delta**2) * g.weights**2) ** 2
                 per_seed.append(err / eps_sq.sum())
@@ -264,7 +264,7 @@ class TestSequentialTrilateration:
         noisy = apply_multiplicative_noise(g, 0.05, seed=3)
         ordering = find_trilaterative_ordering(noisy, 2)
         assert ordering is not None
-        out = sequential_trilateration(noisy, ordering, 2)
+        out = sequential_trilateration(noisy, ordering)
         want = oracles.sequential_trilateration_loop(noisy, ordering.order, 2)
         np.testing.assert_array_equal(out.points, want)
 
@@ -272,14 +272,14 @@ class TestSequentialTrilateration:
         pts = rng.uniform(size=(3, 2))
         g = complete_graph(pts)
         ordering = TrilaterativeOrdering(p=2, order=(0, 1, 2))
-        out = sequential_trilateration(g, ordering, 2)
+        out = sequential_trilateration(g, ordering)
         assert aligned_error(out, Configuration(pts)) <= 1e-9
 
     def test_missing_seed_edge_rejected(self):
         g = path_graph(3)
         ordering = TrilaterativeOrdering(p=1, order=(0, 2, 1))
         with pytest.raises(StressTuneError, match="seed"):
-            sequential_trilateration(g, ordering, 1)
+            sequential_trilateration(g, ordering)
 
     def test_equivariance(self):
         cfg, g = self.rgg(seed=1, n=80, r=0.3)
@@ -290,6 +290,6 @@ class TestSequentialTrilateration:
         g2 = radius_graph(moved_cfg, 0.3)
         # Same geometry, same graph: distances are rigid-invariant.
         np.testing.assert_allclose(g2.weights, g.weights, rtol=1e-9)
-        out = sequential_trilateration(g, ordering, 2)
-        out2 = sequential_trilateration(g2, ordering, 2)
+        out = sequential_trilateration(g, ordering)
+        out2 = sequential_trilateration(g2, ordering)
         assert aligned_error(out2, out) <= 1e-7 * diameter(out)

@@ -280,6 +280,30 @@ class TestSweepHops:
                     assert not config.points.flags.writeable
         assert parallel[1][0].failed
 
+    def test_worker_error_surfaces_as_itself(self, monkeypatch):
+        # p=0 is not a domain error: mds_map_p's ValueError reaches the caller
+        # unchanged instead of becoming a failed row.
+        g = DissimilarityGraph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        environ = dict(os.environ)
+        with pytest.raises(ValueError, match="p must be >= 1"):
+            tune._sweep_in_processes([1, 2, 3], 2, (g, 0, None, True, True))
+        assert dict(os.environ) == environ
+
+    def test_inline_sweep_runs_largest_h_first(self, rng, monkeypatch):
+        calls = []
+        sweep_one = tune._sweep_one
+
+        def recording(h, *args):
+            calls.append(h)
+            return sweep_one(h, *args)
+
+        monkeypatch.setattr(tune, "_sweep_one", recording)
+        report = sweep_hops(complete_graph(rng.uniform(size=(8, 2))), 2, [2, 5, 1, 3])
+        assert calls == [5, 3, 2, 1]
+        assert [r.h for r in report.rows] == [1, 2, 3, 5]
+
     def test_unguarded_script_fails_with_guard_message(self, tmp_path):
         # Spawned workers import the main module; without a main guard each
         # one starts a sweep of its own and dies, which must not hang.
