@@ -165,13 +165,18 @@ def _complete_matrix(g) -> DenseSymmetricMatrix:
 
 
 def cmd_embed(args, parser) -> int:
+    graph_method = args.method in {"cs", "mdsd", "mdsmapp", "seqtrilat"}
+    if graph_method and not args.graph:
+        parser.error(f"--graph is required for method {args.method}")
+    if args.method == "isomap-local" and not args.points:
+        parser.error("--points is required for method isomap-local")
+    if args.method in {"mdsmapp", "isomap-local"} and args.hops is None:
+        parser.error(f"--hops is required for method {args.method}")
     out = _outdir(args)
     refine_patches = not args.no_patch_refine
     final_refine = not args.no_final_refine
     meta = {"command": "embed", "method": args.method, "p": args.p}
-    if args.method in {"cs", "mdsd", "mdsmapp", "seqtrilat"}:
-        if not args.graph:
-            parser.error(f"--graph is required for method {args.method}")
+    if graph_method:
         g = read_edge_csv(args.graph)
         meta["graph"] = str(args.graph)
     if args.method == "cs":
@@ -179,8 +184,6 @@ def cmd_embed(args, parser) -> int:
     elif args.method == "mdsd":
         config = mds_d(g, args.p)
     elif args.method == "mdsmapp":
-        if args.hops is None:
-            parser.error("--hops is required for method mdsmapp")
         config = mds_map_p(
             g, args.hops, args.p, refine_patches=refine_patches, final_refine=final_refine
         )
@@ -193,10 +196,6 @@ def cmd_embed(args, parser) -> int:
         config = sequential_trilateration(g, ordering)
         meta["seed_clique"] = list(ordering.seed_clique)
     elif args.method == "isomap-local":
-        if not args.points:
-            parser.error("--points is required for method isomap-local")
-        if args.hops is None:
-            parser.error("--hops is required for method isomap-local")
         points = read_configuration_csv(args.points)
         r = args.radius if args.radius is not None else default_radius(points, args.radius_multiple)
         config = local_isomap(

@@ -272,12 +272,11 @@ def affine_rank(points: np.ndarray) -> int:
 
 
 def write_configuration_csv(config: Configuration, path: str | os.PathLike) -> None:
-    """Write ``id,x1,...,xp`` rows; floats use repr so reads round-trip exactly."""
+    """Write ``id,x1,...,xp`` rows; csv writes floats as their repr, so reads round-trip exactly."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id"] + [f"x{d + 1}" for d in range(config.p)])
-        for i, row in enumerate(config.points):
-            writer.writerow([i] + [repr(float(x)) for x in row])
+        writer.writerows([i, *row] for i, row in enumerate(config.points.tolist()))
 
 
 def read_configuration_csv(path: str | os.PathLike) -> Configuration:

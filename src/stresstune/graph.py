@@ -267,7 +267,9 @@ def connected_components(g: DissimilarityGraph) -> list[list[int]]:
 
 
 def is_connected(g: DissimilarityGraph) -> bool:
-    return _csgraph_components(g._adj_csr(), directed=False)[0] == 1
+    # A connected graph has at least n - 1 edges. Testing that first refuses
+    # one with many isolated nodes before its O(n) adjacency is built.
+    return g.edge_count >= g.n - 1 and _csgraph_components(g._adj_csr(), directed=False)[0] == 1
 
 
 def _row_positions(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -323,20 +325,15 @@ def shortest_paths_csr(sub: csr_matrix) -> np.ndarray:
 
 
 def write_edge_csv(g: DissimilarityGraph, path: str | os.PathLike) -> None:
-    """Write edges as ``i,j,d`` rows in canonical order (repr floats)."""
+    """Write edges as ``i,j,d`` rows in canonical order (csv writes floats as their repr)."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["i", "j", "d"])
-        for a, b, d in zip(g.ei, g.ej, g.weights):
-            writer.writerow([int(a), int(b), repr(float(d))])
+        writer.writerows(zip(g.ei.tolist(), g.ej.tolist(), g.weights.tolist()))
 
 
-def read_edge_csv(path: str | os.PathLike, n: int | None = None) -> DissimilarityGraph:
-    """Read an edge list written by :func:`write_edge_csv`.
-
-    ``n`` defaults to ``max(index) + 1``; pass it explicitly when trailing
-    nodes are isolated (an edge list cannot represent them).
-    """
+def read_edge_csv(path: str | os.PathLike) -> DissimilarityGraph:
+    """Read an edge list written by :func:`write_edge_csv`; ``n`` is ``max(index) + 1``."""
     ei, ej, w = [], [], []
     # The node count max(index) + 1 must fit in int64 too.
     limit = np.iinfo(np.int64).max
@@ -360,11 +357,7 @@ def read_edge_csv(path: str | os.PathLike, n: int | None = None) -> Dissimilarit
                 raise ValueError(f"{path}: row {lineno}: node index outside [0, {limit})")
     if not ei:
         raise ValueError(f"{path}: no edges")
-    inferred = max(max(ei), max(ej)) + 1
-    if n is None:
-        n = inferred
-    elif n < inferred:
-        raise ValueError(f"{path}: edge endpoints exceed n={n}")
+    n = max(max(ei), max(ej)) + 1
     return DissimilarityGraph(
         n, (np.array(ei, dtype=np.int64), np.array(ej, dtype=np.int64), np.array(w))
     )

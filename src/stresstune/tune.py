@@ -149,16 +149,10 @@ class SweepReport:
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(_COLUMNS)
-
-        def fmt(name, x):
-            if name == "h":
-                return x
-            if name == "failed":
-                return "true" if x else "false"
-            return "" if x is None else repr(float(x))
-
+        # csv writes None as "" and a float as its repr, so values round-trip.
         for record in self._records(include_timing):
-            writer.writerow([fmt(name, x) for name, x in record.items()])
+            record["failed"] = "true" if record["failed"] else "false"
+            writer.writerow(record.values())
         return buf.getvalue()
 
 

@@ -221,6 +221,7 @@ class TestEmbedAndAlign:
             run(["embed", "--method", "isomap-local", "--graph", tmp_path / "graph.csv",
                  "--hops", 2, "--out", tmp_path / "x"])
         assert exc.value.code == 2
+        assert not (tmp_path / "x").exists()
 
     def test_mdsmapp_requires_hops(self, tmp_path, rng):
         self.make_instance(tmp_path, rng)
@@ -228,6 +229,7 @@ class TestEmbedAndAlign:
             run(["embed", "--method", "mdsmapp", "--graph", tmp_path / "graph.csv",
                  "--out", tmp_path / "x"])
         assert exc.value.code == 2
+        assert not (tmp_path / "x").exists()
 
     def test_out_of_memory_exits_1(self, tmp_path, rng, monkeypatch, capsys):
         from stresstune import cli

@@ -24,9 +24,11 @@ from stresstune import (
     all_pairs_shortest_paths,
     classical_scaling,
     complete_noiseless_stress,
+    haversine_matrix,
     knn_graph,
     mds_d,
     read_configuration_csv,
+    strain,
     write_configuration_csv,
 )
 from stresstune.core import (
@@ -287,11 +289,14 @@ class TestDenseMemoryGuard:
         g = DissimilarityGraph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (0, 3, 1.0)])
         D = all_pairs_shortest_paths(g)
         config = Configuration(np.arange(8.0).reshape(4, 2))
+        cities = CityTable(names=("a", "b", "c", "d"), lat=[0.0, 1.0, 2.0, 3.0], lon=[0.0] * 4)
         steps = {
             "mds_d": lambda: mds_d(g, 2),
             "all_pairs_shortest_paths": lambda: all_pairs_shortest_paths(g),
             "classical_scaling": lambda: classical_scaling(D, 2),
             "complete_noiseless_stress": lambda: complete_noiseless_stress(config, config),
+            "haversine_matrix": lambda: haversine_matrix(cities),
+            "strain": lambda: strain(config, D),
         }
         # One dense 4 x 4 array is 128 bytes, more than the 100 installed.
         monkeypatch.setattr(core_module, "_physical_memory_bytes", lambda: 100)

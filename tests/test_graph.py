@@ -13,9 +13,11 @@ import stresstune.stitch as stitch_module
 from stresstune import (
     Configuration,
     DenseSymmetricMatrix,
+    DisconnectedGraphError,
     DissimilarityGraph,
     all_pairs_shortest_paths,
     connected_components,
+    find_trilaterative_ordering,
     hop_balls,
     is_connected,
     knn_graph,
@@ -278,6 +280,20 @@ class TestIsConnected:
     @example(g=DissimilarityGraph(5, [(0, 1, 1.0), (1, 2, 1.0)]))
     def test_agrees_with_component_count(self, g):
         assert is_connected(g) == (len(connected_components(g)) == 1)
+
+    def test_too_few_edges_refused_before_o_n_work(self):
+        # Three edges cannot connect 10^7 nodes, so the adjacency of the
+        # trailing isolated nodes (tens of MB) is never built.
+        g = DissimilarityGraph(10**7, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
+        tracemalloc.start()
+        try:
+            with pytest.raises(DisconnectedGraphError):
+                mds_map_p(g, 2, 2)
+            assert find_trilaterative_ordering(g, 2) is None
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestHopBalls:
@@ -557,12 +573,11 @@ class TestEdgeCsv:
         write_edge_csv(back, path)
         assert path.read_bytes() == first
 
-    def test_header_and_explicit_n(self, tmp_path):
+    def test_header_and_inferred_n(self, tmp_path):
         path = tmp_path / "graph.csv"
         write_edge_csv(DissimilarityGraph(5, [(0, 1, 1.5)]), path)
         assert path.read_text().splitlines()[0] == "i,j,d"
         assert read_edge_csv(path).n == 2  # inferred from max index
-        assert read_edge_csv(path, n=5).n == 5
 
     def test_index_outside_int64_names_the_row(self, tmp_path):
         path = tmp_path / "graph.csv"

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import signal
@@ -30,7 +31,10 @@ from stresstune import (
     stress,
     sweep_hops,
     tune,
+    write_configuration_csv,
+    write_edge_csv,
 )
+from stresstune.svgplot import sweep_chart
 
 
 def complete_graph(points: np.ndarray) -> DissimilarityGraph:
@@ -194,6 +198,62 @@ class TestSweepRowAndReport:
         assert report.selected_row.h == 2
         with pytest.raises(KeyError):
             report.row(3)
+
+
+class TestArtifactBytes:
+    """The renderers' bytes on fixed tiny inputs, pinned by SHA-256 digests.
+
+    A one-character change to any renderer changes a digest. The inputs cover
+    the chart with and without its error series and with one hop value (a flat
+    scale on both axes), a report with a failed row, and CSV floats whose repr
+    is easy to lose: ``-0.0``, ``1e-300`` and ``0.1``.
+    """
+
+    # A renderer change that moves any byte must update these on purpose.
+    DIGESTS = {
+        "chart_errors": "f8e1d44acb538c13bfbda2476acfd9b5b613f9bdc49bd60a81eba959dda20e39",
+        "chart_stress": "d53ca65944c6f5eceb528f5e64b89217344237f946b42718a0ba0b9c5d5df957",
+        "chart_one_h": "b29e6fff4900b86ffe18bd0e8e06d3dbee30cfa1b53890a4e78bc60fbf240bf0",
+        "report_csv": "34b306e8fc8ff3d7d4b5bb469c734ca2736702d74cea0229f690a4728fb55b44",
+        "report_csv_timed": "55b571c707c6c5febc86e32aac01bc55906a6ac1573cd75e51081ae74c91aaf2",
+        "report_json": "f5a12054e65c0ea7ebfe86a73369e2ced3ecfe636cb49ee3bc2555b45855e773",
+        "report_json_timed": "480ddd51e44b0cee241ab44c9f5f518f81b8aeaa0274f141dba22b78195e4177",
+        "configuration_csv": "6ba851623f52acfbb2d2bf076662729dce38c37a060817e289122a101902200e",
+        "edge_csv": "8f1c6d2324fa0b99a7e22f19aeb31a94050a39cdd24f2a683f86e8a07f68870c",
+    }
+
+    @staticmethod
+    def render(tmp_path) -> dict[str, bytes]:
+        hs, stresses, errors = [1, 2, 3, 5], [4.0, 1.5, 0.25, 2.0], [0.3, 0.1, 0.05, 0.2]
+        report = SweepReport(rows=(
+            SweepRow(h=1, stress=0.1, stress_per_edge=1e-300, embedding_error=-0.0,
+                     scale_ratio=1.25, wall_time_s=0.5, failed=False),
+            SweepRow(h=2, stress=None, stress_per_edge=None, embedding_error=None,
+                     scale_ratio=None, wall_time_s=0.125, failed=True),
+            SweepRow(h=3, stress=2.0, stress_per_edge=0.5, embedding_error=None,
+                     scale_ratio=None, wall_time_s=None, failed=False),
+        ))
+        write_configuration_csv(Configuration([[-0.0, 1e-300], [0.1, 2.5]]), tmp_path / "c.csv")
+        write_edge_csv(DissimilarityGraph(3, [(0, 1, 0.1), (1, 2, 1e-300), (0, 2, -0.0)]),
+                       tmp_path / "g.csv")
+        texts = {
+            "chart_errors": sweep_chart(hs, stresses, errors=errors, title="t"),
+            "chart_stress": sweep_chart(hs, stresses),
+            "chart_one_h": sweep_chart([3], [1.0], errors=[0.5]),
+            "report_csv": report.to_csv(),
+            "report_csv_timed": report.to_csv(include_timing=True),
+            "report_json": report.to_json(),
+            "report_json_timed": report.to_json(include_timing=True),
+        }
+        return {
+            **{name: text.encode() for name, text in texts.items()},
+            "configuration_csv": (tmp_path / "c.csv").read_bytes(),
+            "edge_csv": (tmp_path / "g.csv").read_bytes(),
+        }
+
+    def test_renderers_keep_their_bytes(self, tmp_path):
+        digests = {name: hashlib.sha256(data).hexdigest() for name, data in self.render(tmp_path).items()}
+        assert digests == self.DIGESTS
 
 
 class TestSweepHops:
