@@ -155,63 +155,52 @@ def cmd_sweep(args, parser) -> int:
 
 
 def _complete_matrix(g) -> DenseSymmetricMatrix:
+    # With no self loops or repeated pairs, only a complete graph has n(n-1)/2 edges.
+    pairs = g.n * (g.n - 1) // 2
+    if g.edge_count < pairs:
+        raise StressTuneError(f"embed --method cs needs all {pairs} pairs of {g.n} nodes, but the "
+                              f"graph has {g.edge_count} edges; use mdsd or mdsmapp instead")
     # The observed matrix and the validated copy the returned matrix holds.
     _check_dense_fits("embed --method cs", g.n, 2)
-    D = np.full((g.n, g.n), np.inf)
-    np.fill_diagonal(D, 0.0)
+    D = np.zeros((g.n, g.n))
     D[g.ei, g.ej] = g.weights
     D[g.ej, g.ei] = g.weights
-    return DenseSymmetricMatrix(D, allow_infinite=True)
+    return DenseSymmetricMatrix(D)
 
 
 def cmd_embed(args, parser) -> int:
-    graph_method = args.method in {"cs", "mdsd", "mdsmapp", "seqtrilat"}
-    if graph_method and not args.graph:
+    if args.method != "isomap-local" and not args.graph:
         parser.error(f"--graph is required for method {args.method}")
     if args.method == "isomap-local" and not args.points:
         parser.error("--points is required for method isomap-local")
     if args.method in {"mdsmapp", "isomap-local"} and args.hops is None:
         parser.error(f"--hops is required for method {args.method}")
     out = _outdir(args)
-    refine_patches = not args.no_patch_refine
-    final_refine = not args.no_final_refine
     meta = {"command": "embed", "method": args.method, "p": args.p}
-    if graph_method:
-        g = read_edge_csv(args.graph)
-        meta["graph"] = str(args.graph)
-    if args.method == "cs":
-        config = classical_scaling(_complete_matrix(g), args.p)
-    elif args.method == "mdsd":
-        config = mds_d(g, args.p)
-    elif args.method == "mdsmapp":
-        config = mds_map_p(
-            g, args.hops, args.p, refine_patches=refine_patches, final_refine=final_refine
-        )
-        meta.update({"hops": args.hops, "patch_refine": refine_patches,
-                     "final_refine": final_refine})
-    elif args.method == "seqtrilat":
-        ordering = find_trilaterative_ordering(g, args.p)
-        if ordering is None:
-            raise StressTuneError("no trilaterative ordering found for this graph")
-        config = sequential_trilateration(g, ordering)
-        meta["seed_clique"] = list(ordering.seed_clique)
-    elif args.method == "isomap-local":
+    refine = {"refine_patches": not args.no_patch_refine, "final_refine": not args.no_final_refine}
+    if args.method in {"mdsmapp", "isomap-local"}:
+        meta.update(hops=args.hops, patch_refine=refine["refine_patches"],
+                    final_refine=refine["final_refine"])
+    if args.method == "isomap-local":
         points = read_configuration_csv(args.points)
         r = args.radius if args.radius is not None else default_radius(points, args.radius_multiple)
-        config = local_isomap(
-            points,
-            r,
-            args.hops,
-            args.p,
-            refine_patches=refine_patches,
-            final_refine=final_refine,
-        )
-        meta.update(
-            {"points": str(args.points), "radius": r, "hops": args.hops,
-             "patch_refine": refine_patches, "final_refine": final_refine}
-        )
-    else:  # pragma: no cover - argparse restricts choices
-        parser.error(f"unknown method {args.method}")
+        config = local_isomap(points, r, args.hops, args.p, **refine)
+        meta.update(points=str(args.points), radius=r)
+    else:
+        g = read_edge_csv(args.graph)
+        meta["graph"] = str(args.graph)
+        if args.method == "cs":
+            config = classical_scaling(_complete_matrix(g), args.p)
+        elif args.method == "mdsd":
+            config = mds_d(g, args.p)
+        elif args.method == "mdsmapp":
+            config = mds_map_p(g, args.hops, args.p, **refine)
+        else:
+            ordering = find_trilaterative_ordering(g, args.p)
+            if ordering is None:
+                raise StressTuneError("no trilaterative ordering found for this graph")
+            config = sequential_trilateration(g, ordering)
+            meta["seed_clique"] = list(ordering.seed_clique)
     _atomic_csv(out / "embedding.csv", lambda p: write_configuration_csv(config, p))
     _write_json(out / "meta.json", meta)
     return 0

@@ -74,8 +74,8 @@ def _check_dense_fits(step: str, n: int, arrays: int) -> None:
         )
 
 
-def _frozen_array(values, dtype=np.float64) -> np.ndarray:
-    out = np.array(values, dtype=dtype, order="C", copy=True)
+def _frozen_array(values) -> np.ndarray:
+    out = np.array(values, dtype=np.float64, order="C", copy=True)
     out.setflags(write=False)
     return out
 

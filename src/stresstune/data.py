@@ -118,11 +118,6 @@ def _grid_points_raw(shape: DomainShape, s: float) -> np.ndarray:
     return np.column_stack([gx.ravel(), gy.ravel()])
 
 
-def _grid_points(shape: DomainShape, s: float) -> np.ndarray:
-    pts = _grid_points_raw(shape, s)
-    return pts[shape.contains(pts)]
-
-
 def generate_shape(
     shape: DomainShape, n_target: int, jitter_frac: float = 0.2, seed: int = 0
 ) -> Configuration:
@@ -150,7 +145,8 @@ def generate_shape(
             f"no grid spacing puts between {0.8 * n_target:.0f} and {cap:.0f} "
             f"points inside shape {shape.name!r}"
         )
-    pts = _grid_points(shape, best_s)
+    pts = _grid_points_raw(shape, best_s)
+    pts = pts[shape.contains(pts)]
     rng = np.random.default_rng(seed)
     jitter = rng.uniform(-jitter_frac * best_s, jitter_frac * best_s, size=pts.shape)
     return Configuration(pts + jitter)

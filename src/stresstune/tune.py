@@ -18,8 +18,8 @@ from itertools import repeat
 import numpy as np
 
 from .align import aligned_error, scale_ratio
-from .core import Configuration, StressTuneError, _check_dense_fits
-from .graph import DissimilarityGraph
+from .core import Configuration, DisconnectedGraphError, StressTuneError, _check_dense_fits
+from .graph import DissimilarityGraph, is_connected
 from .stitch import mds_map_p
 
 # Node count from which a sweep runs its hop values in worker processes. Each
@@ -65,8 +65,9 @@ def complete_noiseless_stress(config: Configuration, truth: Configuration) -> fl
     """Noiseless stress summed over all unordered pairs, not just edges."""
     if config.n != truth.n:
         raise ValueError("configurations must have the same size")
-    # The pair indices alone are two int64 arrays of n(n-1)/2 entries.
-    _check_dense_fits("complete_noiseless_stress", config.n, 1)
+    # The pair indices and the squared distances: traced at 3.50 x 8n^2 bytes
+    # for n = 1,000-3,000.
+    _check_dense_fits("complete_noiseless_stress", config.n, 4)
     iu, ju = np.triu_indices(config.n, k=1)
     sq = _edge_sq_dists(config.points, iu, ju)
     true_sq = _edge_sq_dists(truth.points, iu, ju)
@@ -281,6 +282,8 @@ def sweep_hops(
         raise ValueError("hop values must be >= 1")
     if truth is not None and truth.n != g.n:
         raise ValueError("truth configuration must cover every node")
+    if not is_connected(g):
+        raise DisconnectedGraphError("patch stitching requires a connected graph")
     workers = min(len(hs), _usable_cores()) if g.n >= _POOL_MIN_NODES else 1
 
     args = (g, p, truth, refine_patches, final_refine)

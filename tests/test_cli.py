@@ -1,8 +1,10 @@
+import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -126,6 +128,17 @@ class TestSweep:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    def test_disconnected_graph_exits_1(self, tmp_path, capsys):
+        # Two triangles with no edge between them.
+        edges = "".join(f"{a},{b},1.0\n" for a, b in [(0, 1), (1, 2), (0, 2),
+                                                       (3, 4), (4, 5), (3, 5)])
+        (tmp_path / "g.csv").write_text("i,j,d\n" + edges)
+        code = run(["sweep", "--graph", tmp_path / "g.csv", "--hops", "1,2",
+                    "--out", tmp_path / "o"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("stresstune: error:") and "connected" in err
+
     def test_bad_hop_list_exits_2(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run(["sweep", "--graph", tmp_path / "g.csv", "--hops", "1,x",
@@ -168,6 +181,71 @@ class TestEmbedAndAlign:
             assert run(["embed", "--method", method, "--graph", tmp_path / "graph.csv",
                         "--out", out, *extra]) == 0
             assert (out / "embedding.csv").exists()
+
+    # (method, flags, SHA-256 of embedding.csv, SHA-256 of meta.json), recorded
+    # before cmd_embed took one path per input; meta.json holds the input paths,
+    # so the runs use relative ones.
+    _PINNED = [
+        ("cs", ["--graph", "complete.csv"],
+         "2ecbc62844f3ec45eb1b1ea1ae76283e49b6d646116c71bfe6762b55e7f07f6c",
+         "a9351e27cf0378397d4bb6abdf50314351e75b00b5abe12a4eab896390a03af0"),
+        ("mdsd", ["--graph", "hollow/graph.csv"],
+         "a8d03ec31e71e3b47abf9e16f3f18af88214660759ef7cafa713630c667adbc3",
+         "1e5911e424854c76e348a1731427aae065241e7454057a6d3f04f3a0ae4c7a43"),
+        ("seqtrilat", ["--graph", "hollow/graph.csv"],
+         "afb57e68b8564a2d60d4334988bc2c2054ef3c56b966556fcc9dabd543a69afa",
+         "50d8a7fe68b616ac4ce9d8fa4ee23888ca67337216efca9e709948e45f723c4a"),
+        ("mdsmapp", ["--graph", "hollow/graph.csv", "--hops", "3"],
+         "fe25200cec9fe42659e051ef8f83c95b2c61936ba84182ec84a45daa9800dd95",
+         "0a7a39672a0ebfc038ba7d8d49ae4d9ae8cb5b3717468113d167de1e9db359eb"),
+        ("mdsmapp", ["--graph", "hollow/graph.csv", "--hops", "2", "--no-final-refine"],
+         "fe433f2b4abda52804126ab4126eec9d52870b98fd89fd6f4d639717b252c3a7",
+         "44e005754b3a137fdd30ed18e404c41f2063ade16d5f1c6e1cb1994709cb60b2"),
+        ("isomap-local", ["--points", "swiss/points3d.csv", "--hops", "3"],
+         "25cd0b76af2bdc367bc53b838fea098d208087f329ac8bbe2484c24d18fd235e",
+         "6bf51bfaf9debdc1a3d03b2022d2ee87cc4a73ce7b7c135f637abb504dd508d8"),
+        ("isomap-local", ["--points", "swiss/points3d.csv", "--hops", "2", "--radius", "0.2",
+                          "--no-patch-refine"],
+         "1e824412dcc9795d058c3e93161c7bb37f36235e8744c005cffbcfd48e554a6f",
+         "9cd221a4a787bf11d5b973596e66adc97d0aff2bc21f265f741c02859b567edb"),
+    ]
+
+    def test_every_method_keeps_its_bytes(self, tmp_path, monkeypatch):
+        from stresstune import DissimilarityGraph, write_edge_csv
+
+        monkeypatch.chdir(tmp_path)
+        assert run(["generate", "--shape", "hollow", "--n", 80, "--k", 8, "--seed", 0,
+                    "--out", "hollow"]) == 0
+        assert run(["generate", "--manifold", "swiss", "--n", 60, "--seed", 1,
+                    "--out", "swiss"]) == 0
+        pts = read_configuration_csv("hollow/config.csv").points[:12]
+        edges = [(i, j, float(np.linalg.norm(pts[i] - pts[j])))
+                 for i in range(12) for j in range(i + 1, 12)]
+        write_edge_csv(DissimilarityGraph(12, edges), "complete.csv")
+        for k, (method, flags, embedding, meta) in enumerate(self._PINNED):
+            out = Path(f"o{k}")
+            assert run(["embed", "--method", method, *flags, "--out", out]) == 0
+            got = [hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in ("embedding.csv", "meta.json")]
+            assert got == [embedding, meta], (method, flags)
+
+    def test_cs_refuses_an_incomplete_graph_before_any_dense_array(self, tmp_path, capsys):
+        # A 3,000-node path: one dense n x n array alone would take 72 MB.
+        n = 3000
+        rows = "".join(f"{i},{i + 1},1.0\n" for i in range(n - 1))
+        (tmp_path / "path.csv").write_text("i,j,d\n" + rows)
+        tracemalloc.start()
+        try:
+            code = run(["embed", "--method", "cs", "--graph", tmp_path / "path.csv",
+                        "--out", tmp_path / "o"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("stresstune: error:")
+        assert f"{n - 1} edges" in err and f"{n * (n - 1) // 2}" in err
+        assert peak < 10 * 2**20
 
     def test_seqtrilat_on_readme_data(self, tmp_path):
         # The README's step-1 data; its first seed clique violates the

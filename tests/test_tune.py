@@ -5,6 +5,7 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -16,9 +17,11 @@ from hypothesis import strategies as hst
 
 import oracles
 import stresstune
+import stresstune.core as core_module
 from conftest import rotation
 from stresstune import (
     Configuration,
+    DisconnectedGraphError,
     DissimilarityGraph,
     RigidMap,
     StressTuneError,
@@ -128,6 +131,23 @@ class TestCompleteNoiselessStress:
                 want += (dy - dx) ** 2
         got = complete_noiseless_stress(Configuration(y), Configuration(x))
         assert got == pytest.approx(want, rel=1e-12)
+
+    def test_guard_counts_the_traced_peak(self, rng, monkeypatch):
+        # The pair indices, the two squared-distance vectors and their
+        # difference: traced at 3.5 x 8n^2, under the guard's count of 4.
+        n = 1000
+        x, y = (Configuration(rng.uniform(size=(n, 2))) for _ in range(2))
+        tracemalloc.start()
+        try:
+            complete_noiseless_stress(x, y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 8 * n**2
+        # A machine with no more memory than the traced peak is refused up front.
+        monkeypatch.setattr(core_module, "_physical_memory_bytes", lambda: peak)
+        with pytest.raises(StressTuneError, match="^complete_noiseless_stress at n=1000"):
+            complete_noiseless_stress(x, y)
 
     def test_equals_edge_version_on_complete_graph(self, rng):
         pts = rng.uniform(size=(6, 2))
@@ -339,6 +359,19 @@ class TestSweepHops:
                     assert np.array_equal(config.points, want_config.points)
                     assert not config.points.flags.writeable
         assert parallel[1][0].failed
+
+    def test_disconnected_graph_refused_before_any_worker(self, rng, monkeypatch):
+        # Two unit squares of 300 points, 10 apart, so no 8-NN edge joins them:
+        # every hop value would fail in its worker on the same connectivity check.
+        def no_workers(*args):
+            raise AssertionError("a worker pool was started")
+
+        pts = rng.uniform(size=(600, 2))
+        pts[300:, 0] += 10.0
+        g = knn_graph(Configuration(pts), 8)
+        monkeypatch.setattr(tune, "_sweep_in_processes", no_workers)
+        with pytest.raises(DisconnectedGraphError, match="requires a connected graph"):
+            sweep_hops(g, 2, [1, 2, 3])
 
     def test_worker_error_surfaces_as_itself(self, monkeypatch):
         # p=0 is not a domain error: mds_map_p's ValueError reaches the caller
