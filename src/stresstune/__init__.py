@@ -70,7 +70,6 @@ from .stitch import (
     GlobalMap,
     MergeError,
     PatchError,
-    merge,
     mds_map_p,
 )
 from .tune import (
@@ -127,7 +126,6 @@ __all__ = [
     "local_isomap",
     "mds_d",
     "mds_map_p",
-    "merge",
     "min_connectivity_radius",
     "noiseless_stress",
     "procrustes",

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Configuration, DegenerateGeometryError, RigidMap
+from .core import Configuration, DegenerateGeometryError, RigidMap, _Value
 
 
 def _procrustes(S: np.ndarray, T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -62,7 +62,7 @@ def diameter(config: Configuration) -> float:
 
 
 @dataclass(frozen=True)
-class AlignmentReport:
+class AlignmentReport(_Value):
     """Aligned error together with its scale-free normalization."""
 
     error: float

@@ -1,16 +1,16 @@
 """Shared numeric primitives and the value types used across the package.
 
-Every operation here is a pure function of immutable inputs. Arrays stored on
-the value types are defensively copied and marked read-only. The value types
-pickle through their constructors, so an instance that comes back from a
-worker process is validated and read-only again.
+Every operation here is a pure function of immutable inputs. The value types
+derive from ``_Value`` and store arrays through ``_freeze``, as read-only
+copies; they pickle through their constructors, so an instance that comes
+back from a worker process is validated and read-only again.
 """
 
 from __future__ import annotations
 
 import csv
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
@@ -74,30 +74,35 @@ def _check_dense_fits(step: str, n: int, arrays: int) -> None:
         )
 
 
-def _frozen_array(values) -> np.ndarray:
-    out = np.array(values, dtype=np.float64, order="C", copy=True)
+class _Value:
+    """Base of the frozen dataclasses: a pickled copy is rebuilt by the constructor."""
+
+    def __reduce__(self):
+        return (type(self), tuple(getattr(self, f.name) for f in fields(self)))
+
+
+def _freeze(obj, name: str) -> np.ndarray:
+    """Store a read-only C-order float64 copy of the array field ``name`` and return it."""
+    out = np.array(getattr(obj, name), dtype=np.float64, order="C", copy=True)
     out.setflags(write=False)
+    object.__setattr__(obj, name, out)
     return out
 
 
 @dataclass(frozen=True)
-class Configuration:
+class Configuration(_Value):
     """An indexed set of n points in R^p, stored as an (n, p) float array."""
 
     points: np.ndarray
 
     def __post_init__(self):
-        pts = _frozen_array(self.points)
+        pts = _freeze(self, "points")
         if pts.ndim != 2:
             raise ValueError("points must be a 2-d array of shape (n, p)")
         if pts.shape[0] < 1 or pts.shape[1] < 1:
             raise ValueError("need n >= 1 points with dimension p >= 1")
         if not np.isfinite(pts).all():
             raise ValueError("coordinates must be finite")
-        object.__setattr__(self, "points", pts)
-
-    def __reduce__(self):
-        return (Configuration, (self.points,))
 
     @property
     def n(self) -> int:
@@ -109,7 +114,7 @@ class Configuration:
 
 
 @dataclass(frozen=True)
-class DenseSymmetricMatrix:
+class DenseSymmetricMatrix(_Value):
     """Square symmetric float matrix, checked for symmetry at construction.
 
     ``+inf`` entries are permitted only when ``allow_infinite`` is set (used
@@ -120,7 +125,7 @@ class DenseSymmetricMatrix:
     allow_infinite: bool = False
 
     def __post_init__(self):
-        v = _frozen_array(self.values)
+        v = _freeze(self, "values")
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
             raise ValueError("matrix must be square")
         # One row block at a time, so the copy is the only n x n array held.
@@ -145,10 +150,6 @@ class DenseSymmetricMatrix:
             raise ValueError("infinite entries are not permitted here")
         if gap > SYMMETRY_ATOL:
             raise ValueError(f"matrix is not symmetric within {SYMMETRY_ATOL:g} (max gap {gap:g})")
-        object.__setattr__(self, "values", v)
-
-    def __reduce__(self):
-        return (DenseSymmetricMatrix, (self.values, self.allow_infinite))
 
     @property
     def order(self) -> int:
@@ -156,15 +157,14 @@ class DenseSymmetricMatrix:
 
 
 @dataclass(frozen=True)
-class RigidMap:
+class RigidMap(_Value):
     """Orthogonal map plus translation, ``x -> Q x + t``; Q may reflect."""
 
     Q: np.ndarray
     t: np.ndarray
 
     def __post_init__(self):
-        Q = _frozen_array(self.Q)
-        t = _frozen_array(self.t)
+        Q, t = _freeze(self, "Q"), _freeze(self, "t")
         if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
             raise ValueError("Q must be square")
         p = Q.shape[0]
@@ -175,11 +175,6 @@ class RigidMap:
         gap = np.abs(Q.T @ Q - np.eye(p)).max()
         if gap > ORTHOGONALITY_ATOL:
             raise ValueError(f"Q is not orthogonal within {ORTHOGONALITY_ATOL:g}")
-        object.__setattr__(self, "Q", Q)
-        object.__setattr__(self, "t", t)
-
-    def __reduce__(self):
-        return (RigidMap, (self.Q, self.t))
 
     @property
     def p(self) -> int:
@@ -281,24 +276,27 @@ def write_configuration_csv(config: Configuration, path: str | os.PathLike) -> N
 
 def read_configuration_csv(path: str | os.PathLike) -> Configuration:
     """Read a configuration written by :func:`write_configuration_csv`."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or len(header) < 2 or header[0] != "id":
-            raise ValueError(f"{path}: expected header id,x1,...,xp")
-        p = len(header) - 1
-        rows = []
-        for lineno, rec in enumerate(reader, start=2):
-            if not rec:
-                continue
-            if len(rec) != p + 1:
-                raise ValueError(f"{path}: row {lineno} has {len(rec)} fields, expected {p + 1}")
-            try:
-                idx = int(rec[0])
-                coords = [float(x) for x in rec[1:]]
-            except ValueError as exc:
-                raise ValueError(f"{path}: row {lineno}: {exc}") from exc
-            rows.append((idx, coords))
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None or len(header) < 2 or header[0] != "id":
+                raise ValueError(f"{path}: expected header id,x1,...,xp")
+            p = len(header) - 1
+            rows = []
+            for lineno, rec in enumerate(reader, start=2):
+                if not rec:
+                    continue
+                if len(rec) != p + 1:
+                    raise ValueError(f"{path}: row {lineno} has {len(rec)} fields, expected {p + 1}")
+                try:
+                    idx = int(rec[0])
+                    coords = [float(x) for x in rec[1:]]
+                except ValueError as exc:
+                    raise ValueError(f"{path}: row {lineno}: {exc}") from exc
+                rows.append((idx, coords))
+    except csv.Error as exc:  # such as a field over csv.field_size_limit()
+        raise ValueError(f"{path}: row {reader.line_num}: {exc}") from exc
     if not rows:
         raise ValueError(f"{path}: no data rows")
     rows.sort(key=lambda r: r[0])

@@ -18,8 +18,9 @@ from .core import (
     Configuration,
     DenseSymmetricMatrix,
     StressTuneError,
+    _Value,
     _check_dense_fits,
-    _frozen_array,
+    _freeze,
     affine_rank,
 )
 from .graph import DissimilarityGraph
@@ -38,7 +39,7 @@ _ARCLENGTH_TOL = 1e-10
 
 
 @dataclass(frozen=True)
-class DomainShape:
+class DomainShape(_Value):
     """Union of closed rectangles minus a union of closed rectangular holes."""
 
     name: str
@@ -264,7 +265,7 @@ def lift_swiss_roll(config: Configuration, alpha: float = 50.0) -> Configuration
 
 
 @dataclass(frozen=True)
-class CityTable:
+class CityTable(_Value):
     """Named geographic locations in degrees."""
 
     names: tuple[str, ...]
@@ -272,8 +273,7 @@ class CityTable:
     lon: np.ndarray
 
     def __post_init__(self):
-        lat = _frozen_array(self.lat)
-        lon = _frozen_array(self.lon)
+        lat, lon = _freeze(self, "lat"), _freeze(self, "lon")
         names = tuple(str(s) for s in self.names)
         if not names or lat.shape != (len(names),) or lon.shape != (len(names),):
             raise ValueError("names, lat and lon must be equal-length and nonempty")
@@ -284,11 +284,6 @@ class CityTable:
         if (np.abs(lon) > 180.0).any():
             raise ValueError("longitudes must lie in [-180, 180]")
         object.__setattr__(self, "names", names)
-        object.__setattr__(self, "lat", lat)
-        object.__setattr__(self, "lon", lon)
-
-    def __reduce__(self):
-        return (CityTable, (self.names, self.lat, self.lon))
 
     @property
     def n(self) -> int:
@@ -302,25 +297,29 @@ def load_cities(path: str | os.PathLike) -> CityTable:
     to locate.
     """
     names, lat, lon = [], [], []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        fields = reader.fieldnames or []
-        for col in ("city", "lat", "lng"):
-            if col not in fields:
-                raise ValueError(f"{path}: missing required column {col!r}")
-        for rowno, rec in enumerate(reader, start=2):
-            try:
-                la = float(rec["lat"])
-                lo = float(rec["lng"])
-            except (TypeError, ValueError):
-                raise ValueError(f"{path}: row {rowno}: lat/lng must be numeric") from None
-            if abs(la) > 90.0:
-                raise ValueError(f"{path}: row {rowno}: latitude {la} outside [-90, 90]")
-            if abs(lo) > 180.0:
-                raise ValueError(f"{path}: row {rowno}: longitude {lo} outside [-180, 180]")
-            names.append(rec["city"])
-            lat.append(la)
-            lon.append(lo)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            fields = reader.fieldnames or []
+            for col in ("city", "lat", "lng"):
+                if col not in fields:
+                    raise ValueError(f"{path}: missing required column {col!r}")
+            for rowno, rec in enumerate(reader, start=2):
+                try:
+                    la = float(rec["lat"])
+                    lo = float(rec["lng"])
+                except (TypeError, ValueError):
+                    raise ValueError(f"{path}: row {rowno}: lat/lng must be numeric") from None
+                if abs(la) > 90.0:
+                    raise ValueError(f"{path}: row {rowno}: latitude {la} outside [-90, 90]")
+                if abs(lo) > 180.0:
+                    raise ValueError(f"{path}: row {rowno}: longitude {lo} outside [-180, 180]")
+                names.append(rec["city"])
+                lat.append(la)
+                lon.append(lo)
+    except csv.Error as exc:  # such as a field over csv.field_size_limit()
+        # DictReader's own line_num counts only the rows it returned.
+        raise ValueError(f"{path}: row {reader.reader.line_num}: {exc}") from exc
     if not names:
         raise ValueError(f"{path}: no data rows")
     return CityTable(names=tuple(names), lat=np.array(lat), lon=np.array(lon))

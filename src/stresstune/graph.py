@@ -334,24 +334,27 @@ def read_edge_csv(path: str | os.PathLike) -> DissimilarityGraph:
     ei, ej, w = [], [], []
     # The node count max(index) + 1 must fit in int64 too.
     limit = np.iinfo(np.int64).max
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:3]] != ["i", "j", "d"]:
-            raise ValueError(f"{path}: expected header i,j,d")
-        for lineno, rec in enumerate(reader, start=2):
-            if not rec:
-                continue
-            if len(rec) != 3:
-                raise ValueError(f"{path}: row {lineno} has {len(rec)} fields, expected 3")
-            try:
-                ei.append(int(rec[0]))
-                ej.append(int(rec[1]))
-                w.append(float(rec[2]))
-            except ValueError as exc:
-                raise ValueError(f"{path}: row {lineno}: {exc}") from exc
-            if not (0 <= ei[-1] < limit and 0 <= ej[-1] < limit):
-                raise ValueError(f"{path}: row {lineno}: node index outside [0, {limit})")
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None or [h.strip() for h in header[:3]] != ["i", "j", "d"]:
+                raise ValueError(f"{path}: expected header i,j,d")
+            for lineno, rec in enumerate(reader, start=2):
+                if not rec:
+                    continue
+                if len(rec) != 3:
+                    raise ValueError(f"{path}: row {lineno} has {len(rec)} fields, expected 3")
+                try:
+                    ei.append(int(rec[0]))
+                    ej.append(int(rec[1]))
+                    w.append(float(rec[2]))
+                except ValueError as exc:
+                    raise ValueError(f"{path}: row {lineno}: {exc}") from exc
+                if not (0 <= ei[-1] < limit and 0 <= ej[-1] < limit):
+                    raise ValueError(f"{path}: row {lineno}: node index outside [0, {limit})")
+    except csv.Error as exc:  # such as a field over csv.field_size_limit()
+        raise ValueError(f"{path}: row {reader.line_num}: {exc}") from exc
     if not ei:
         raise ValueError(f"{path}: no edges")
     n = max(max(ei), max(ej)) + 1

@@ -20,6 +20,7 @@ from .core import (
     Configuration,
     DegenerateGeometryError,
     StressTuneError,
+    _Value,
     affine_rank,
 )
 from .embed import _classical_scaling_array, _trilaterate
@@ -29,7 +30,7 @@ DEFAULT_SEED_CLIQUE_CAP = 10_000
 
 
 @dataclass(frozen=True)
-class TrilaterativeOrdering:
+class TrilaterativeOrdering(_Value):
     """A full vertex ordering whose first ``p+1`` nodes form the seed clique."""
 
     p: int

@@ -23,7 +23,7 @@ from .core import (
     Configuration,
     DisconnectedGraphError,
     StressTuneError,
-    _frozen_array,
+    _Value,
     affine_rank,
 )
 from .embed import (
@@ -52,7 +52,7 @@ class MergeError(StressTuneError):
 
 
 @dataclass(frozen=True)
-class GlobalMap:
+class GlobalMap(_Value):
     """A stitched placement: the coordinates of every node and the merge log.
 
     ``merge_log`` holds ``(patch_center, overlap_size)`` pairs in merge order;
@@ -63,16 +63,8 @@ class GlobalMap:
     merge_log: tuple[tuple[int, int], ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        coords = _frozen_array(self.coords)
-        if coords.ndim != 2:
-            raise ValueError("coords must be an (n, p) array")
-        if not np.isfinite(coords).all():
-            raise ValueError("coordinates must be finite")
-        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "coords", Configuration(self.coords).points)
         object.__setattr__(self, "merge_log", tuple(self.merge_log))
-
-    def __reduce__(self):
-        return (GlobalMap, (self.coords, self.merge_log))
 
 
 def _embed_members(

@@ -18,7 +18,7 @@ from itertools import repeat
 import numpy as np
 
 from .align import aligned_error, scale_ratio
-from .core import Configuration, DisconnectedGraphError, StressTuneError, _check_dense_fits
+from .core import Configuration, DisconnectedGraphError, StressTuneError, _check_dense_fits, _Value
 from .graph import DissimilarityGraph, is_connected
 from .stitch import mds_map_p
 
@@ -44,12 +44,19 @@ def _edge_sq_dists(Y: np.ndarray, ei, ej) -> np.ndarray:
 def stress(g: DissimilarityGraph, config: Configuration) -> float:
     """Raw stress of a configuration against the observed dissimilarities.
 
-    ``sum over edges of (||y_i - y_j||^2 - d_ij^2)^2``.
+    ``sum over edges of (||y_i - y_j||^2 - d_ij^2)^2``. A sum beyond float64
+    raises :class:`StressTuneError`: it is quartic in the dissimilarities.
     """
     if config.n != g.n:
         raise ValueError("configuration must cover every node")
-    sq = _edge_sq_dists(config.points, g.ei, g.ej)
-    return float(((sq - g.weights**2) ** 2).sum())
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            sq = _edge_sq_dists(config.points, g.ei, g.ej)
+            return float(((sq - g.weights**2) ** 2).sum())
+    except FloatingPointError:
+        raise StressTuneError(
+            f"the stress overflows float64 (largest dissimilarity {g.weights.max():g}); rescale the graph"
+        ) from None
 
 
 def noiseless_stress(g: DissimilarityGraph, config: Configuration, truth: Configuration) -> float:
@@ -75,7 +82,7 @@ def complete_noiseless_stress(config: Configuration, truth: Configuration) -> fl
 
 
 @dataclass(frozen=True)
-class SweepRow:
+class SweepRow(_Value):
     """Diagnostics for one swept hop radius."""
 
     h: int
@@ -99,7 +106,7 @@ _COLUMNS = tuple(f.name for f in fields(SweepRow))
 
 
 @dataclass(frozen=True)
-class SweepReport:
+class SweepReport(_Value):
     """Sweep rows (ascending h); the stress-minimizing ``selected_h`` is derived from them."""
 
     rows: tuple[SweepRow, ...]
@@ -171,7 +178,7 @@ def _sweep_one(
     refine_patches: bool,
     final_refine: bool,
 ) -> tuple[SweepRow, Configuration | None]:
-    """Stitch and score one hop value; a domain error yields a failed row."""
+    """Stitch and score one hop value; a stitch's domain error yields a failed row."""
     start = time.perf_counter()
     try:
         config = mds_map_p(g, h, p, refine_patches=refine_patches, final_refine=final_refine)
@@ -180,7 +187,7 @@ def _sweep_one(
     s = per_edge = err = ratio = None
     if config is not None:
         s = stress(g, config)
-        per_edge = s / g.edge_count if g.edge_count else 0.0
+        per_edge = s / g.edge_count
         if truth is not None:
             err, ratio = aligned_error(config, truth), scale_ratio(config, truth)
     row = SweepRow(
@@ -264,10 +271,10 @@ def sweep_hops(
 ) -> SweepReport:
     """Stitch the graph at each hop radius and score the results by stress.
 
-    Hop values failing with a domain error are kept as ``failed`` rows.
-    When ``truth`` is given, rows also carry the aligned embedding error and
-    the scale ratio. Pass a dict as ``embeddings`` to receive the per-h
-    configurations.
+    Hop values whose stitch fails with a domain error are kept as ``failed``
+    rows; a stress beyond float64 raises instead. When ``truth`` is given,
+    rows also carry the aligned embedding error and the scale ratio. Pass a
+    dict as ``embeddings`` to receive the per-h configurations.
 
     Graphs of at least 500 nodes sweep in spawned worker processes, one per
     usable core and hop value, each with BLAS on one thread. Workers import

@@ -1,3 +1,4 @@
+import os
 from unittest import mock
 
 import numpy as np
@@ -6,6 +7,10 @@ from hypothesis import strategies as hst
 
 import stresstune.core as core_module
 from stresstune import Configuration, DissimilarityGraph
+
+# pyproject's filterwarnings rule covers this process only; the environment
+# carries it into sweep workers and CLI subprocesses.
+os.environ.setdefault("PYTHONWARNINGS", "error::RuntimeWarning")
 
 
 @pytest.fixture

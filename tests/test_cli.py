@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import math
@@ -15,10 +16,15 @@ from hypothesis import strategies as hst
 import oracles
 from stresstune import (
     EARTH_RADIUS_KM,
+    DissimilarityGraph,
     aligned_error,
+    generate_shape,
+    knn_graph,
     read_configuration_csv,
     read_edge_csv,
+    write_edge_csv,
 )
+from stresstune.data import DomainShape
 from stresstune.cli import build_parser, main
 
 
@@ -138,6 +144,23 @@ class TestSweep:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("stresstune: error:") and "connected" in err
+
+    def test_overflowing_stress_exits_1_without_a_warning(self, tmp_path):
+        # 722 nodes: the hop values run in worker processes (given two usable
+        # cores), whose overflow must end the run as an error, not a warning.
+        g = knn_graph(generate_shape(DomainShape.named("rectangle"), 700, seed=0), 15)
+        write_edge_csv(DissimilarityGraph(g.n, (g.ei, g.ej, g.weights * 1e100)), tmp_path / "g.csv")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "stresstune.cli", "sweep", "--graph", str(tmp_path / "g.csv"),
+             "--hops", "1,2,3", "--no-patch-refine", "--no-final-refine", "--out", str(tmp_path / "o")],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("stresstune: error: the stress overflows float64")
+        assert "RuntimeWarning" not in proc.stderr
+        assert not (tmp_path / "o" / "sweep.json").exists()
 
     def test_bad_hop_list_exits_2(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -418,6 +441,22 @@ class TestFlagRules:
         n = read_configuration_csv(data / "points3d.csv").n
         assert read_configuration_csv(out / "embedding.csv").n == n
         assert json.loads((out / "meta.json").read_text())["radius"] == math.inf
+
+
+@pytest.mark.parametrize("argv", [
+    "embed --method mdsd --graph BIG",
+    "sweep --hops 1 --graph BIG",
+    "align --truth BIG --embedding BIG",
+    "cities --csv BIG",
+], ids=lambda argv: argv.split()[0])
+def test_oversized_csv_field_exits_1(tmp_path, capsys, argv):
+    # A header field over csv.field_size_limit() fails every reader at row 1.
+    big = tmp_path / "big.csv"
+    big.write_text("x" * (csv.field_size_limit() + 1) + "\n")
+    assert run([big if a == "BIG" else a for a in argv.split()] + ["--out", tmp_path / "o"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("stresstune: error:") and "Traceback" not in err
+    assert "big.csv: row 1: field larger than field limit" in err
 
 
 class TestCities:

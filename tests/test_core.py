@@ -1,6 +1,10 @@
+import csv
 import os
 import pickle
+import pkgutil
 import tracemalloc
+from dataclasses import fields, is_dataclass
+from importlib import import_module
 from unittest import mock
 
 import numpy as np
@@ -10,9 +14,11 @@ from hypothesis import strategies as hst
 from scipy.sparse.linalg import ArpackNoConvergence
 
 import oracles
+import stresstune
 import stresstune.core as core_module
 import stresstune.embed as embed_module
 from stresstune import (
+    AlignmentReport,
     CityTable,
     Configuration,
     DenseSymmetricMatrix,
@@ -20,6 +26,9 @@ from stresstune import (
     GlobalMap,
     RigidMap,
     StressTuneError,
+    SweepReport,
+    SweepRow,
+    TrilaterativeOrdering,
     affine_rank,
     all_pairs_shortest_paths,
     classical_scaling,
@@ -38,7 +47,9 @@ from stresstune.core import (
     _physical_memory_bytes,
     _symmetrize_in_place,
     _top_eigenpairs_array,
+    _Value,
 )
+from stresstune.data import DomainShape
 from stresstune.embed import _classical_scaling_array
 from stresstune.tune import _edge_sq_dists
 from conftest import block_budget, malformed_csv
@@ -60,7 +71,60 @@ class TestConfiguration:
             Configuration([[np.nan, 0.0]])
 
 
+_ROW = SweepRow(h=2, stress=1.5, stress_per_edge=0.5, embedding_error=None,
+               scale_ratio=None, wall_time_s=None, failed=False)
+
+# One instance of each frozen value type of the package.
+FROZEN_VALUES = [
+    Configuration(np.ones((3, 2))),
+    DenseSymmetricMatrix(np.eye(3), allow_infinite=True),
+    RigidMap(np.eye(2), np.ones(2)),
+    GlobalMap(np.ones((3, 2)), ((0, 0),)),
+    CityTable(("a", "b"), np.zeros(2), np.ones(2)),
+    DomainShape("square", ((0.0, 1.0, 0.0, 1.0),), ((0.25, 0.5, 0.25, 0.5),)),
+    TrilaterativeOrdering(2, (2, 0, 1, 3)),
+    _ROW,
+    SweepReport((_ROW,)),
+    AlignmentReport(error=0.25, normalized_rmse=0.125),
+]
+
+
+def _same(a, b) -> bool:
+    return np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+
+
 class TestPickling:
+    def test_every_frozen_dataclass_is_a_value_type(self):
+        found = set()
+        for info in pkgutil.iter_modules(stresstune.__path__, "stresstune."):
+            for obj in vars(import_module(info.name)).values():
+                if isinstance(obj, type) and is_dataclass(obj) and obj.__dataclass_params__.frozen:
+                    found.add(obj)
+        assert found == {type(v) for v in FROZEN_VALUES}
+        assert all(issubclass(cls, _Value) for cls in found)
+
+    @pytest.mark.parametrize("value", FROZEN_VALUES, ids=lambda v: type(v).__name__)
+    def test_reduce_names_the_type_and_its_field_values(self, value):
+        cls, args = value.__reduce__()
+        assert cls is type(value)
+        assert len(args) == len(fields(value))
+        assert all(arg is getattr(value, f.name) for arg, f in zip(args, fields(value)))
+        copy = pickle.loads(pickle.dumps(value))
+        assert type(copy) is type(value)
+        for f in fields(value):
+            assert _same(getattr(copy, f.name), getattr(value, f.name))
+            if isinstance(getattr(value, f.name), np.ndarray):
+                assert not getattr(copy, f.name).flags.writeable
+
+    def test_a_sweep_row_is_validated_when_unpickled(self):
+        # A worker's rows cross back by pickle; one that breaks the row's
+        # contract is refused on arrival, not trusted.
+        row = SweepRow(h=1, stress=None, stress_per_edge=None, embedding_error=None,
+                       scale_ratio=None, wall_time_s=None, failed=True)
+        object.__setattr__(row, "stress", 2.0)
+        with pytest.raises(ValueError, match="failed rows"):
+            pickle.loads(pickle.dumps(row))
+
     def test_value_types_come_back_validated_and_read_only(self):
         g = DissimilarityGraph(3, [(1, 0, 1.0), (1, 2, 2.0)])
         assert g._adj_csr() is g._adj
@@ -467,6 +531,14 @@ class TestConfigurationCsv:
         path.write_text("id,x1\n0,1.0\n2,2.0\n")
         with pytest.raises(ValueError):
             read_configuration_csv(path)
+
+    def test_oversized_field_names_the_row(self, tmp_path):
+        path = tmp_path / "config.csv"
+        big = "1" * (csv.field_size_limit() + 1)
+        for text, row in ((f"id,x1\n0,1.0\n1,{big}\n", 3), (f"id,{big}\n0,1.0\n", 1)):
+            path.write_text(text)
+            with pytest.raises(ValueError, match=f"row {row}: field larger than field limit"):
+                read_configuration_csv(path)
 
     @settings(max_examples=300, deadline=None)
     @given(text=malformed_csv("id,x1,x2", [_ID, _COORD, _COORD]))

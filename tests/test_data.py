@@ -1,3 +1,4 @@
+import csv
 import warnings
 
 import numpy as np
@@ -338,6 +339,14 @@ class TestLoadCities:
         path.write_text("city,lat,lng\nA,abc,-118.0\n")
         with pytest.raises(ValueError, match="2"):
             load_cities(path)
+
+    def test_oversized_field_names_the_row(self, tmp_path):
+        path = tmp_path / "cities.csv"
+        big = "A" * (csv.field_size_limit() + 1)
+        for text, row in ((f"city,lat,lng\nA,1.0,2.0\n{big},1.0,2.0\n", 3), (f"city,lat,lng,{big}\nA,1.0,2.0\n", 1)):
+            path.write_text(text, encoding="utf-8")
+            with pytest.raises(ValueError, match=f"row {row}: field larger than field limit"):
+                load_cities(path)
 
     @settings(max_examples=300, deadline=None)
     @given(text=malformed_csv("city,lat,lng", [_NAME, _LAT, _LNG]))

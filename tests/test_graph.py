@@ -1,3 +1,4 @@
+import csv
 import tracemalloc
 from unittest import mock
 
@@ -584,6 +585,14 @@ class TestEdgeCsv:
         for index in ("99999999999999999999", str(2**63 - 1), "-1"):
             path.write_text(f"i,j,d\n0,1,1.0\n0,{index},1.0\n")
             with pytest.raises(ValueError, match="row 3"):
+                read_edge_csv(path)
+
+    def test_oversized_field_names_the_row(self, tmp_path):
+        path = tmp_path / "graph.csv"
+        big = "1" * (csv.field_size_limit() + 1)
+        for text, row in ((f"i,j,d\n0,1,1.0\n0,2,{big}\n", 3), (f"i,j,{big}\n0,1,1.0\n", 1)):
+            path.write_text(text)
+            with pytest.raises(ValueError, match=f"row {row}: field larger than field limit"):
                 read_edge_csv(path)
 
     @settings(max_examples=300, deadline=None)

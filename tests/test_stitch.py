@@ -22,13 +22,12 @@ from stresstune import (
     knn_graph,
     mds_d,
     mds_map_p,
-    merge,
     procrustes,
     stress,
 )
 from stresstune.data import DomainShape
 from stresstune.graph import induced_subgraph_csr, shortest_paths_csr
-from stresstune.stitch import _embed_members, _merge_plan
+from stresstune.stitch import _embed_members, _merge_plan, merge
 from stresstune.tune import stress as raw_stress
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -29,6 +30,7 @@ from stresstune import (
     SweepRow,
     apply_multiplicative_noise,
     complete_noiseless_stress,
+    generate_shape,
     knn_graph,
     noiseless_stress,
     stress,
@@ -37,6 +39,7 @@ from stresstune import (
     write_configuration_csv,
     write_edge_csv,
 )
+from stresstune.data import DomainShape
 from stresstune.svgplot import sweep_chart
 
 
@@ -48,6 +51,10 @@ def complete_graph(points: np.ndarray) -> DissimilarityGraph:
         for j in range(i + 1, n)
     ]
     return DissimilarityGraph(n, edges)
+
+
+def scaled(g: DissimilarityGraph, factor: float) -> DissimilarityGraph:
+    return DissimilarityGraph(g.n, (g.ei, g.ej, g.weights * factor))
 
 
 class TestStress:
@@ -85,6 +92,15 @@ class TestStress:
         g = complete_graph(rng.uniform(size=(5, 2)))
         with pytest.raises(ValueError):
             stress(g, Configuration(rng.uniform(size=(4, 2))))
+
+    def test_overflow_raises_naming_the_largest_dissimilarity(self, rng):
+        # The stress is quartic in the dissimilarities: at 1e100 its terms
+        # pass float64, and the sum would be inf (not valid JSON).
+        pts = rng.uniform(size=(6, 2))
+        g = scaled(complete_graph(pts), 1e100)
+        largest = re.escape(f"(largest dissimilarity {g.weights.max():g})")
+        with pytest.raises(StressTuneError, match=f"overflows float64 {largest}; rescale"):
+            stress(g, Configuration(pts))
 
 
 class TestNoiselessStress:
@@ -295,6 +311,15 @@ class TestSweepHops:
         assert report.row(1).failed
         assert not report.row(3).failed
         assert report.selected_h == 3
+
+    def test_overflowing_stress_raises_instead_of_a_row(self):
+        # Every hop value stitches, but no stress is representable: the sweep
+        # fails rather than select an h among infinite stresses.
+        truth = generate_shape(DomainShape.named("rectangle"), 80, seed=0)
+        g = scaled(knn_graph(truth, 15), 1e100)
+        assert g.n < tune._POOL_MIN_NODES
+        with pytest.raises(StressTuneError, match="the stress overflows float64"):
+            sweep_hops(g, 2, [1, 2, 3, 5], refine_patches=False, final_refine=False)
 
     def test_all_h_failing_raises(self):
         g = DissimilarityGraph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
