@@ -32,6 +32,8 @@ from .data import (
     DEFAULT_KNN,
     DEFAULT_SIGMA,
     EARTH_RADIUS_KM,
+    S_SURFACE_ALPHA,
+    SWISS_ROLL_ALPHA,
     DomainShape,
     add_gaussian_noise,
     apply_multiplicative_noise,
@@ -93,13 +95,14 @@ def cmd_generate(args, parser) -> int:
         g = apply_multiplicative_noise(knn_graph(truth, args.k), args.sigma, seed=args.seed + 1)
         meta.update(mode="shape", shape=args.shape, k=args.k, sigma=args.sigma)
     else:
-        alpha = args.alpha if args.alpha is not None else (10.0 if args.manifold == "s" else 50.0)
+        lift, default_alpha = ((lift_s_surface, S_SURFACE_ALPHA) if args.manifold == "s"
+                               else (lift_swiss_roll, SWISS_ROLL_ALPHA))
+        alpha = args.alpha if args.alpha is not None else default_alpha
         base = DomainShape.named(_SHAPE_NAMES[args.base])
         planar = generate_shape(base, args.n, jitter_frac=args.jitter, seed=args.seed)
         # The S lift bends in both directions around v = 0, so center its domain;
         # the spiral lift needs v >= 0, so anchor the minimum corner instead.
         truth = rescale_to_unit(planar, center=(args.manifold == "s"))
-        lift = lift_s_surface if args.manifold == "s" else lift_swiss_roll
         points3d = add_gaussian_noise(lift(truth, alpha), args.noise3d, seed=args.seed + 2)
         r = default_radius(points3d, args.radius_multiple)
         g = radius_graph(points3d, r)
@@ -311,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--jitter", type=_checked(float, lambda v: 0.0 <= v < 0.5, "lie in [0, 0.5)"),
                      default=0.2, help="grid jitter fraction in [0, 0.5)")
     gen.add_argument("--alpha", type=float, default=None,
-                     help="lift curvature (defaults: 10 for s, 50 for swiss)")
+                     help=f"lift curvature (defaults: s {S_SURFACE_ALPHA:g}, swiss {SWISS_ROLL_ALPHA:g})")
     gen.add_argument("--noise3d", type=_checked(float, lambda v: v >= 0.0, "be nonnegative"),
                      default=0.0, help="ambient Gaussian noise sigma")
     gen.add_argument("--radius-multiple", type=_radius_multiple, default=DEFAULT_RADIUS_MULTIPLE)

@@ -9,11 +9,12 @@ back from a worker process is validated and read-only again.
 from __future__ import annotations
 
 import csv
+import math
 import os
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+from scipy.sparse.linalg import ArpackError, eigsh
 
 # Tolerances fixed by the data contracts (exercised directly in the tests).
 SYMMETRY_ATOL = 1e-12
@@ -33,6 +34,9 @@ _DENSE_EIGH_MAX_ORDER = 80
 # n x n array in row blocks of this size (at least one row).
 _DENSE_BLOCK_BYTES = 2 * 1024 * 1024
 
+# CSV indices lie below this bound, so that a count max(index) + 1 fits in int64.
+_INDEX_LIMIT = np.iinfo(np.int64).max
+
 
 class StressTuneError(Exception):
     """Base class for domain errors raised by this package."""
@@ -47,7 +51,7 @@ class DegenerateGeometryError(StressTuneError):
 
 
 class EigenSolverError(StressTuneError):
-    """The symmetric eigensolver failed to converge."""
+    """The symmetric eigensolver failed: no convergence, or any other LAPACK or ARPACK error."""
 
 
 def _physical_memory_bytes() -> int | None:
@@ -244,8 +248,8 @@ def _top_eigenpairs_array(B: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray
             # of a double-centred matrix.
             v0 = np.random.default_rng(0).standard_normal(k)
             vals, vecs = eigsh(B, k=p, which="LA", v0=v0)
-    except (np.linalg.LinAlgError, ArpackNoConvergence) as exc:
-        raise EigenSolverError(f"eigendecomposition did not converge: {exc}") from exc
+    except (np.linalg.LinAlgError, ArpackError) as exc:  # ArpackNoConvergence included
+        raise EigenSolverError(f"eigendecomposition failed: {exc}") from exc
     # Both solvers return ascending eigenvalues.
     return vals[::-1].copy(), vecs[:, ::-1].copy()
 
@@ -274,33 +278,51 @@ def write_configuration_csv(config: Configuration, path: str | os.PathLike) -> N
         writer.writerows([i, *row] for i, row in enumerate(config.points.tolist()))
 
 
-def read_configuration_csv(path: str | os.PathLike) -> Configuration:
-    """Read a configuration written by :func:`write_configuration_csv`."""
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or len(header) < 2 or header[0] != "id":
-                raise ValueError(f"{path}: expected header id,x1,...,xp")
-            p = len(header) - 1
-            rows = []
-            for lineno, rec in enumerate(reader, start=2):
-                if not rec:
-                    continue
-                if len(rec) != p + 1:
-                    raise ValueError(f"{path}: row {lineno} has {len(rec)} fields, expected {p + 1}")
-                try:
-                    idx = int(rec[0])
-                    coords = [float(x) for x in rec[1:]]
-                except ValueError as exc:
-                    raise ValueError(f"{path}: row {lineno}: {exc}") from exc
-                rows.append((idx, coords))
-    except csv.Error as exc:  # such as a field over csv.field_size_limit()
-        raise ValueError(f"{path}: row {reader.line_num}: {exc}") from exc
+def _csv_rows(path: str | os.PathLike, columns) -> list[list]:
+    """The parsed data rows of the UTF-8 CSV file at ``path``, one list each.
+
+    ``columns(header)`` gives one ``(index, parse)`` pair per wanted field, or
+    refuses the header by raising ``ValueError``. Blank rows are skipped; every
+    other row must have as many fields as the header. A parsed float must be
+    finite, and a parsed int is an index in [0, ``_INDEX_LIMIT``). A refusal
+    names the file and, unless the file has no data rows, the row (the header
+    is row 1).
+    """
+    rows = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, [])
+            fields = columns(header)
+            for rec in filter(None, reader):
+                if len(rec) != len(header):
+                    raise ValueError(f"{len(rec)} fields, but the header has {len(header)}")
+                row = [parse(rec[i]) for i, parse in fields]
+                for value in row:
+                    if isinstance(value, float) and not math.isfinite(value):
+                        raise ValueError(f"numbers must be finite, got {value}")
+                    if isinstance(value, int) and not 0 <= value < _INDEX_LIMIT:
+                        raise ValueError(f"index outside [0, {_INDEX_LIMIT})")
+                rows.append(row)
+        except UnicodeDecodeError as exc:  # decoded by the chunk, so no row to name
+            raise ValueError(f"{path}: {exc}") from exc
+        except (csv.Error, ValueError) as exc:
+            raise ValueError(f"{path}: row {max(reader.line_num, 1)}: {exc}") from exc
     if not rows:
         raise ValueError(f"{path}: no data rows")
+    return rows
+
+
+def _configuration_columns(header: list[str]):
+    if len(header) < 2 or header[0] != "id":
+        raise ValueError("expected header id,x1,...,xp")
+    return [(0, int)] + [(c, float) for c in range(1, len(header))]
+
+
+def read_configuration_csv(path: str | os.PathLike) -> Configuration:
+    """Read a configuration written by :func:`write_configuration_csv`."""
+    rows = _csv_rows(path, _configuration_columns)
     rows.sort(key=lambda r: r[0])
-    ids = [r[0] for r in rows]
-    if ids != list(range(len(rows))):
+    if [r[0] for r in rows] != list(range(len(rows))):
         raise ValueError(f"{path}: ids must be 0..n-1 without gaps")
-    return Configuration(np.array([r[1] for r in rows]))
+    return Configuration(np.array([r[1:] for r in rows]))

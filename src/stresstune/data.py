@@ -8,7 +8,6 @@ H shape. Surface lifts embed a planar domain isometrically into R^3.
 
 from __future__ import annotations
 
-import csv
 import os
 from dataclasses import dataclass
 
@@ -20,6 +19,7 @@ from .core import (
     StressTuneError,
     _Value,
     _check_dense_fits,
+    _csv_rows,
     _freeze,
     affine_rank,
 )
@@ -30,6 +30,8 @@ EARTH_RADIUS_KM = 6371.0088
 DEFAULT_KNN = 15
 CITY_KNN = 12
 DEFAULT_SIGMA = 0.15
+S_SURFACE_ALPHA = 10.0
+SWISS_ROLL_ALPHA = 50.0
 
 # (xmin, xmax, ymin, ymax)
 Rect = tuple[float, float, float, float]
@@ -194,14 +196,21 @@ def rescale_to_unit(config: Configuration, center: bool = False) -> Configuratio
     return Configuration((pts - lo) / span)
 
 
-def _lifted(config: Configuration, points: np.ndarray, alpha: float) -> Configuration:
+def _lift(config: Configuration, alpha: float, bend) -> Configuration:
+    """Lift planar ``(v, u)`` to ``(x, u, z)`` with ``x, z = bend(v, alpha)``, checking alpha and rank."""
+    if config.p != 2:
+        raise ValueError("lift expects a planar configuration")
+    if not 0 < alpha < np.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
+    x, z = bend(config.points[:, 0], alpha)
+    points = np.column_stack([x, config.points[:, 1], z])
     # A huge alpha shrinks the curved direction below round-off, flattening the surface.
     if affine_rank(points) < affine_rank(config.points):
         raise ValueError(f"alpha {alpha} is too large for the domain's extent: the lift collapses")
     return Configuration(points)
 
 
-def lift_s_surface(config: Configuration, alpha: float = 10.0) -> Configuration:
+def lift_s_surface(config: Configuration, alpha: float = S_SURFACE_ALPHA) -> Configuration:
     """Lift a planar configuration onto an S-shaped surface in R^3.
 
     The first planar coordinate ``v`` parametrizes the curved direction at
@@ -210,16 +219,12 @@ def lift_s_surface(config: Configuration, alpha: float = 10.0) -> Configuration:
     (e.g. via :func:`rescale_to_unit` with ``center=True``) to avoid
     self-intersection. An alpha that flattens the lift raises ``ValueError``.
     """
-    if config.p != 2:
-        raise ValueError("lift expects a planar configuration")
-    if not 0 < alpha < np.inf:
-        raise ValueError(f"alpha must be positive and finite, got {alpha}")
-    v = config.points[:, 0]
-    u = config.points[:, 1]
+    return _lift(config, alpha, _s_bend)
+
+
+def _s_bend(v: np.ndarray, alpha: float):
     t = alpha * v
-    x = np.sin(t) / alpha
-    z = np.sign(t) * (np.cos(t) - 1.0) / alpha
-    return _lifted(config, np.column_stack([x, u, z]), alpha)
+    return np.sin(t) / alpha, np.sign(t) * (np.cos(t) - 1.0) / alpha
 
 
 def _swiss_arclength(s: np.ndarray, alpha: float) -> np.ndarray:
@@ -243,7 +248,7 @@ def _invert_swiss_arclength(v: np.ndarray, alpha: float) -> np.ndarray:
     raise StressTuneError("arc-length inversion did not converge")
 
 
-def lift_swiss_roll(config: Configuration, alpha: float = 50.0) -> Configuration:
+def lift_swiss_roll(config: Configuration, alpha: float = SWISS_ROLL_ALPHA) -> Configuration:
     """Lift a planar configuration onto a spiral (swiss-roll) surface in R^3.
 
     The first planar coordinate ``v >= 0`` is arc length along the spiral
@@ -251,17 +256,15 @@ def lift_swiss_roll(config: Configuration, alpha: float = 50.0) -> Configuration
     ``integral_0^s sqrt(1 + (a t)^2) dt = v`` to within 1e-10. An alpha that
     flattens the lift below the input's affine rank raises ``ValueError``.
     """
-    if config.p != 2:
-        raise ValueError("lift expects a planar configuration")
-    if not 0 < alpha < np.inf:
-        raise ValueError(f"alpha must be positive and finite, got {alpha}")
-    v = config.points[:, 0]
-    u = config.points[:, 1]
+    return _lift(config, alpha, _swiss_bend)
+
+
+def _swiss_bend(v: np.ndarray, alpha: float):
     if (v < 0).any():
         raise ValueError("the curved coordinate must be nonnegative for the spiral lift")
     s = _invert_swiss_arclength(v, alpha)
     t = alpha * s
-    return _lifted(config, np.column_stack([s * np.cos(t), u, s * np.sin(t)]), alpha)
+    return s * np.cos(t), s * np.sin(t)
 
 
 @dataclass(frozen=True)
@@ -290,39 +293,27 @@ class CityTable(_Value):
         return len(self.names)
 
 
-def load_cities(path: str | os.PathLike) -> CityTable:
-    """Load a ``city,lat,lng`` CSV (extra columns are ignored).
+def _degrees(text: str, name: str, bound: float) -> float:
+    value = float(text)
+    if abs(value) > bound:
+        raise ValueError(f"{name} {value} outside [-{bound:g}, {bound:g}]")
+    return value
 
-    Errors name the offending column or 1-based row so bad exports are easy
-    to locate.
-    """
-    names, lat, lon = [], [], []
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            fields = reader.fieldnames or []
-            for col in ("city", "lat", "lng"):
-                if col not in fields:
-                    raise ValueError(f"{path}: missing required column {col!r}")
-            for rowno, rec in enumerate(reader, start=2):
-                try:
-                    la = float(rec["lat"])
-                    lo = float(rec["lng"])
-                except (TypeError, ValueError):
-                    raise ValueError(f"{path}: row {rowno}: lat/lng must be numeric") from None
-                if abs(la) > 90.0:
-                    raise ValueError(f"{path}: row {rowno}: latitude {la} outside [-90, 90]")
-                if abs(lo) > 180.0:
-                    raise ValueError(f"{path}: row {rowno}: longitude {lo} outside [-180, 180]")
-                names.append(rec["city"])
-                lat.append(la)
-                lon.append(lo)
-    except csv.Error as exc:  # such as a field over csv.field_size_limit()
-        # DictReader's own line_num counts only the rows it returned.
-        raise ValueError(f"{path}: row {reader.reader.line_num}: {exc}") from exc
-    if not names:
-        raise ValueError(f"{path}: no data rows")
-    return CityTable(names=tuple(names), lat=np.array(lat), lon=np.array(lon))
+
+def _city_columns(header: list[str]):
+    # A repeated column name means its last occurrence.
+    last = {name: c for c, name in enumerate(header)}
+    for col in ("city", "lat", "lng"):
+        if col not in last:
+            raise ValueError(f"missing required column {col!r}")
+    return [(last["city"], str), (last["lat"], lambda t: _degrees(t, "latitude", 90.0)),
+            (last["lng"], lambda t: _degrees(t, "longitude", 180.0))]
+
+
+def load_cities(path: str | os.PathLike) -> CityTable:
+    """Load a CSV with ``city``, ``lat`` and ``lng`` columns, found by name; other columns are ignored."""
+    names, lat, lon = zip(*_csv_rows(path, _city_columns))
+    return CityTable(names=names, lat=np.array(lat), lon=np.array(lon))
 
 
 def haversine_matrix(cities: CityTable) -> DenseSymmetricMatrix:

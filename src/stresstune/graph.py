@@ -27,6 +27,7 @@ from .core import (
     DenseSymmetricMatrix,
     DisconnectedGraphError,
     _check_dense_fits,
+    _csv_rows,
     _row_blocks,
     _symmetrize_in_place,
 )
@@ -42,8 +43,8 @@ _FLOYD_WARSHALL_MAX_ORDER = 200
 class DissimilarityGraph:
     """Undirected graph with nonnegative edge weights (observed dissimilarities).
 
-    Edges are canonicalized to ``i < j`` and sorted lexicographically; self
-    loops and duplicate pairs are rejected. Instances are immutable.
+    Edges are canonicalized to ``i < j`` and sorted lexicographically. A self loop, a
+    duplicate pair or a negative or non-finite weight is refused by its first edge. Immutable.
     """
 
     def __init__(self, n: int, edges):
@@ -67,15 +68,20 @@ class DissimilarityGraph:
             if ei.min(initial=0) < 0 or ej.min(initial=0) < 0 or max(ei.max(), ej.max()) >= n:
                 raise ValueError("edge endpoints must lie in [0, n)")
             if (ei == ej).any():
-                raise ValueError("self loops are not allowed")
+                k = np.argmax(ei == ej)
+                raise ValueError(f"self loops are not allowed: edge ({ei[k]}, {ej[k]})")
             if not np.isfinite(w).all() or (w < 0).any():
-                raise ValueError("weights must be finite and nonnegative")
+                k = np.flatnonzero(~np.isfinite(w) | (w < 0))[0]
+                raise ValueError(f"weights must be finite and nonnegative: edge ({ei[k]}, {ej[k]}) "
+                                 f"has weight {w[k]}")
         lo = np.minimum(ei, ej)
         hi = np.maximum(ei, ej)
         order = np.lexsort((hi, lo))
         lo, hi, w = lo[order], hi[order], w[order]
-        if lo.size > 1 and bool(((lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])).any()):
-            raise ValueError("duplicate edges are not allowed")
+        repeat = (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])
+        if repeat.any():
+            k = np.argmax(repeat)
+            raise ValueError(f"duplicate edges are not allowed: edge ({lo[k]}, {hi[k]}) is repeated")
         for a in (lo, hi, w):
             a.setflags(write=False)
         self._n = int(n)
@@ -329,35 +335,17 @@ def write_edge_csv(g: DissimilarityGraph, path: str | os.PathLike) -> None:
         writer.writerows(zip(g.ei.tolist(), g.ej.tolist(), g.weights.tolist()))
 
 
+def _edge_columns(header: list[str]):
+    if [h.strip() for h in header] != ["i", "j", "d"]:
+        raise ValueError("expected header i,j,d")
+    return [(0, int), (1, int), (2, float)]
+
+
 def read_edge_csv(path: str | os.PathLike) -> DissimilarityGraph:
     """Read an edge list written by :func:`write_edge_csv`; ``n`` is ``max(index) + 1``."""
-    ei, ej, w = [], [], []
-    # The node count max(index) + 1 must fit in int64 too.
-    limit = np.iinfo(np.int64).max
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or [h.strip() for h in header[:3]] != ["i", "j", "d"]:
-                raise ValueError(f"{path}: expected header i,j,d")
-            for lineno, rec in enumerate(reader, start=2):
-                if not rec:
-                    continue
-                if len(rec) != 3:
-                    raise ValueError(f"{path}: row {lineno} has {len(rec)} fields, expected 3")
-                try:
-                    ei.append(int(rec[0]))
-                    ej.append(int(rec[1]))
-                    w.append(float(rec[2]))
-                except ValueError as exc:
-                    raise ValueError(f"{path}: row {lineno}: {exc}") from exc
-                if not (0 <= ei[-1] < limit and 0 <= ej[-1] < limit):
-                    raise ValueError(f"{path}: row {lineno}: node index outside [0, {limit})")
-    except csv.Error as exc:  # such as a field over csv.field_size_limit()
-        raise ValueError(f"{path}: row {reader.line_num}: {exc}") from exc
-    if not ei:
-        raise ValueError(f"{path}: no edges")
+    ei, ej, w = zip(*_csv_rows(path, _edge_columns))
     n = max(max(ei), max(ej)) + 1
-    return DissimilarityGraph(
-        n, (np.array(ei, dtype=np.int64), np.array(ej, dtype=np.int64), np.array(w))
-    )
+    try:
+        return DissimilarityGraph(n, (np.array(ei, dtype=np.int64), np.array(ej, dtype=np.int64), np.array(w)))
+    except ValueError as exc:  # a self loop, a repeated pair or a negative weight
+        raise ValueError(f"{path}: {exc}") from exc

@@ -1,3 +1,5 @@
+import csv
+import io
 import os
 from unittest import mock
 
@@ -84,18 +86,23 @@ _BAD_FIELDS = hst.one_of(_SPECIAL_FIELDS, _SPECIAL_FIELDS, hst.floats().map(repr
 
 
 @hst.composite
-def malformed_csv(draw, header: str, columns):
+def malformed_csv(draw, header: str, columns, ids: bool = False):
     """CSV text: ``header`` (or half the time a damaged copy), then up to eight rows.
 
     Rows draw each field from its strategy in ``columns`` (well-formed
-    values); up to two of them are then damaged: a field replaced by a
-    malformed one, the last field dropped, or a field added. Well-formed
-    indices should stay small, so that no reader builds anything of order n.
+    values); with ``ids`` the first fields are instead a shuffled 0..rows-1,
+    as configuration ids are. Up to two rows are then damaged: a field
+    replaced by a malformed one, the last field dropped, or a field added.
+    Well-formed indices should stay small, so that no reader builds anything
+    of order n.
     """
     first = header
     if draw(hst.booleans()):
         first = draw(hst.sampled_from([header.upper(), header.split(",", 1)[-1], ""]))
     rows = draw(hst.lists(hst.tuples(*columns).map(list), max_size=8))
+    if ids:
+        for row, i in zip(rows, draw(hst.permutations(range(len(rows))))):
+            row[0] = str(i)
     for r in draw(hst.sets(hst.integers(0, len(rows) - 1), max_size=2)) if rows else ():
         damage = draw(hst.integers(0, 2))
         if damage == 0:
@@ -106,3 +113,36 @@ def malformed_csv(draw, header: str, columns):
             rows[r].append(draw(_BAD_FIELDS))
     end = draw(hst.sampled_from(["\n", "\r\n"]))
     return end.join([first, *(",".join(row) for row in rows)]) + end
+
+
+def rows_fit_header(text: str, exact: list[str] | None = None) -> bool:
+    """Whether every non-blank row of the CSV ``text`` has as many fields as its header.
+
+    With ``exact``, the header stripped of spaces must also equal it.
+    """
+    rows = list(csv.reader(io.StringIO(text, newline=""))) or [[]]
+    fits = all(len(row) == len(rows[0]) for row in rows[1:] if row)
+    return fits and (exact is None or [h.strip() for h in rows[0]] == exact)
+
+
+def agrees_with_old_reader(read, old_read, path, same, fits: bool) -> None:
+    """Hold ``read`` to ``old_read`` (its earlier version in ``oracles``) on one file.
+
+    Every refusal of ``read`` starts with the path. A file that ``read``
+    accepts, ``old_read`` accepts too, and ``same(new, old)`` holds; a file
+    that ``old_read`` accepts and that ``fits`` the width and header rules,
+    ``read`` accepts.
+    """
+    try:
+        new = read(path)
+    except ValueError as exc:
+        assert str(exc).startswith(f"{path}: "), str(exc)
+        new = None
+    try:
+        old = old_read(path)
+    except ValueError:
+        old = None
+    if new is not None:
+        assert old is not None and same(new, old)
+    elif fits:
+        assert old is None

@@ -6,13 +6,16 @@ internals beyond plain data, so a bug in the package cannot hide in its own
 oracle. The exceptions replay an inner loop through the validated public
 API that the loop bypasses (``procrustes`` with ``RigidMap.apply``, one
 ``trilaterate`` per node, ``classical_scaling`` of each seed clique), so the
-array kernels can be compared bit for bit.
+array kernels can be compared bit for bit. The CSV readers at the end are
+the package's earlier per-format readers, kept unchanged.
 """
 
 from __future__ import annotations
 
+import csv
 import heapq
 import math
+import os
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -20,8 +23,10 @@ from scipy.sparse import triu
 from scipy.sparse.csgraph import shortest_path
 
 from stresstune import (
+    CityTable,
     Configuration,
     DenseSymmetricMatrix,
+    DissimilarityGraph,
     affine_rank,
     classical_scaling,
     procrustes,
@@ -482,3 +487,109 @@ def smacof_dense_cholesky(n: int, ei, ej, d, Y0: np.ndarray, max_iter: int, tol:
         if stress == 0.0 or decrease < tol * (stress + decrease):
             break
     return Y, history
+
+
+# The CSV readers as they were before they shared one row loop, kept verbatim
+# (three loops, each with its own header, width and csv.Error handling), so
+# the shared loop can be held to them file by file.
+
+
+def read_configuration_csv(path: str | os.PathLike) -> Configuration:
+    """Read a configuration written by :func:`write_configuration_csv`."""
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None or len(header) < 2 or header[0] != "id":
+                raise ValueError(f"{path}: expected header id,x1,...,xp")
+            p = len(header) - 1
+            rows = []
+            for lineno, rec in enumerate(reader, start=2):
+                if not rec:
+                    continue
+                if len(rec) != p + 1:
+                    raise ValueError(f"{path}: row {lineno} has {len(rec)} fields, expected {p + 1}")
+                try:
+                    idx = int(rec[0])
+                    coords = [float(x) for x in rec[1:]]
+                except ValueError as exc:
+                    raise ValueError(f"{path}: row {lineno}: {exc}") from exc
+                rows.append((idx, coords))
+    except csv.Error as exc:  # such as a field over csv.field_size_limit()
+        raise ValueError(f"{path}: row {reader.line_num}: {exc}") from exc
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    rows.sort(key=lambda r: r[0])
+    ids = [r[0] for r in rows]
+    if ids != list(range(len(rows))):
+        raise ValueError(f"{path}: ids must be 0..n-1 without gaps")
+    return Configuration(np.array([r[1] for r in rows]))
+
+
+def read_edge_csv(path: str | os.PathLike) -> DissimilarityGraph:
+    """Read an edge list written by :func:`write_edge_csv`; ``n`` is ``max(index) + 1``."""
+    ei, ej, w = [], [], []
+    # The node count max(index) + 1 must fit in int64 too.
+    limit = np.iinfo(np.int64).max
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None or [h.strip() for h in header[:3]] != ["i", "j", "d"]:
+                raise ValueError(f"{path}: expected header i,j,d")
+            for lineno, rec in enumerate(reader, start=2):
+                if not rec:
+                    continue
+                if len(rec) != 3:
+                    raise ValueError(f"{path}: row {lineno} has {len(rec)} fields, expected 3")
+                try:
+                    ei.append(int(rec[0]))
+                    ej.append(int(rec[1]))
+                    w.append(float(rec[2]))
+                except ValueError as exc:
+                    raise ValueError(f"{path}: row {lineno}: {exc}") from exc
+                if not (0 <= ei[-1] < limit and 0 <= ej[-1] < limit):
+                    raise ValueError(f"{path}: row {lineno}: node index outside [0, {limit})")
+    except csv.Error as exc:  # such as a field over csv.field_size_limit()
+        raise ValueError(f"{path}: row {reader.line_num}: {exc}") from exc
+    if not ei:
+        raise ValueError(f"{path}: no edges")
+    n = max(max(ei), max(ej)) + 1
+    return DissimilarityGraph(
+        n, (np.array(ei, dtype=np.int64), np.array(ej, dtype=np.int64), np.array(w))
+    )
+
+
+def load_cities(path: str | os.PathLike) -> CityTable:
+    """Load a ``city,lat,lng`` CSV (extra columns are ignored).
+
+    Errors name the offending column or 1-based row so bad exports are easy
+    to locate.
+    """
+    names, lat, lon = [], [], []
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            fields = reader.fieldnames or []
+            for col in ("city", "lat", "lng"):
+                if col not in fields:
+                    raise ValueError(f"{path}: missing required column {col!r}")
+            for rowno, rec in enumerate(reader, start=2):
+                try:
+                    la = float(rec["lat"])
+                    lo = float(rec["lng"])
+                except (TypeError, ValueError):
+                    raise ValueError(f"{path}: row {rowno}: lat/lng must be numeric") from None
+                if abs(la) > 90.0:
+                    raise ValueError(f"{path}: row {rowno}: latitude {la} outside [-90, 90]")
+                if abs(lo) > 180.0:
+                    raise ValueError(f"{path}: row {rowno}: longitude {lo} outside [-180, 180]")
+                names.append(rec["city"])
+                lat.append(la)
+                lon.append(lo)
+    except csv.Error as exc:  # such as a field over csv.field_size_limit()
+        # DictReader's own line_num counts only the rows it returned.
+        raise ValueError(f"{path}: row {reader.reader.line_num}: {exc}") from exc
+    if not names:
+        raise ValueError(f"{path}: no data rows")
+    return CityTable(names=tuple(names), lat=np.array(lat), lon=np.array(lon))

@@ -316,6 +316,15 @@ class TestEmbedAndAlign:
             err = capsys.readouterr().err
             assert err.startswith(f"stresstune: error: {step} at n=") and "GiB" in err
 
+    def test_all_zero_weights_exit_1_without_a_traceback(self, tmp_path, capsys):
+        # 306 nodes: classical scaling runs ARPACK, which refuses the all-zero matrix.
+        g = knn_graph(generate_shape(DomainShape.named("hollow_rectangle"), 300, seed=0), 10)
+        zero = tmp_path / "zero.csv"
+        write_edge_csv(DissimilarityGraph(g.n, (g.ei, g.ej, np.zeros(g.edge_count))), zero)
+        assert run(["embed", "--method", "mdsd", "--graph", zero, "--out", tmp_path / "o"]) == 1
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith("stresstune: error: eigendecomposition failed: ARPACK error -9")
+
     def test_isomap_local_requires_points(self, tmp_path, rng):
         self.make_instance(tmp_path, rng)
         with pytest.raises(SystemExit) as exc:
@@ -457,6 +466,25 @@ def test_oversized_csv_field_exits_1(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("stresstune: error:") and "Traceback" not in err
     assert "big.csv: row 1: field larger than field limit" in err
+
+
+@pytest.mark.parametrize("argv, text, named", [
+    ("sweep --hops 1 --graph FILE", "i,j,d\n0,1,1.0\n1,2,nan\n", "row 3: numbers must be finite, got nan"),
+    ("align --truth FILE --embedding FILE", "id,x1,x2\n0,0.0,1.0\n1,inf,2.0\n",
+     "row 3: numbers must be finite, got inf"),
+    ("cities --csv FILE", "city,lat,lng\nA,nan,1.0\nB,2.0,3.0\n", "row 2: numbers must be finite, got nan"),
+    ("cities --csv FILE", "lat,lng,city\n1.0,2.0,A\n3.0,4.0\n", "row 3: 2 fields, but the header has 3"),
+    ("sweep --hops 1 --graph FILE", "i,j,d\n0,1,1.0\n2,2,1.0\n", "self loops are not allowed: edge (2, 2)"),
+    ("sweep --hops 1 --graph FILE", "i,j,d\n0,1,1.0\n1,0,2.0\n",
+     "duplicate edges are not allowed: edge (0, 1)"),
+], ids=["nan-weight", "inf-coordinate", "nan-latitude", "short-city-row", "self-loop", "repeated-pair"])
+def test_refused_value_is_named_by_file_and_row_or_edge(tmp_path, capsys, argv, text, named):
+    path = tmp_path / "input.csv"
+    path.write_text(text)
+    assert run([path if a == "FILE" else a for a in argv.split()] + ["--out", tmp_path / "o"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("stresstune: error:") and "Traceback" not in err
+    assert f"{path}: {named}" in err
 
 
 class TestCities:

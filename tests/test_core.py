@@ -1,4 +1,5 @@
 import csv
+import functools
 import os
 import pickle
 import pkgutil
@@ -9,9 +10,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
-from scipy.sparse.linalg import ArpackNoConvergence
+from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 
 import oracles
 import stresstune
@@ -34,6 +35,7 @@ from stresstune import (
     classical_scaling,
     complete_noiseless_stress,
     haversine_matrix,
+    generate_shape,
     knn_graph,
     mds_d,
     read_configuration_csv,
@@ -52,7 +54,7 @@ from stresstune.core import (
 from stresstune.data import DomainShape
 from stresstune.embed import _classical_scaling_array
 from stresstune.tune import _edge_sq_dists
-from conftest import block_budget, malformed_csv
+from conftest import agrees_with_old_reader, block_budget, malformed_csv
 
 
 class TestConfiguration:
@@ -429,6 +431,12 @@ def canonical_signs(vecs: np.ndarray) -> np.ndarray:
     return out
 
 
+@functools.cache
+def hollow_knn_graph() -> DissimilarityGraph:
+    """The 10-NN graph of ``generate --shape hollow --n 300 --seed 0`` (306 nodes), noise-free."""
+    return knn_graph(generate_shape(DomainShape.named("hollow_rectangle"), 300, seed=0), 10)
+
+
 class TestEigenpairDispatch:
     """Dense and Lanczos eigenpairs against a full dense ``eigh`` on both sides of the order switch."""
 
@@ -483,6 +491,28 @@ class TestEigenpairDispatch:
         D = self.noisy_distances(0, self.T + 1, 2)
         with pytest.raises(EigenSolverError):
             _top_eigenpairs_array(-0.5 * D * D, 2)
+
+    def test_any_arpack_error_is_eigensolver_error(self, monkeypatch):
+        def zero_start(*args, **kwargs):
+            raise ArpackError(-9)
+
+        monkeypatch.setattr(core_module, "eigsh", zero_start)
+        D = self.noisy_distances(0, self.T + 1, 2)
+        with pytest.raises(EigenSolverError, match="eigendecomposition failed: ARPACK error -9"):
+            _top_eigenpairs_array(-0.5 * D * D, 2)
+
+    @settings(max_examples=10, deadline=None)
+    @given(scale=hst.floats(0.0, 1e-200))
+    @example(scale=0.0)
+    @example(scale=1e-320)  # subnormal weights, whose squares round to zero
+    def test_all_zero_gram_above_the_switch_is_eigensolver_error(self, scale):
+        # ARPACK refuses an all-zero matrix ("Starting vector is zero"); the
+        # 306-node graph puts classical scaling above the dense order.
+        g = hollow_knn_graph()
+        assert g.n > self.T
+        scaled = DissimilarityGraph(g.n, (g.ei, g.ej, g.weights * scale))
+        with pytest.raises(EigenSolverError, match="eigendecomposition failed"):
+            mds_d(scaled, 2)
 
     def test_dense_failure_is_eigensolver_error(self, monkeypatch):
         def failed(*args, **kwargs):
@@ -550,6 +580,19 @@ class TestConfigurationCsv:
         except ValueError:
             return
         assert isinstance(config, Configuration) and np.isfinite(config.points).all()
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=hst.integers(1, 3).flatmap(lambda p: malformed_csv(
+        ",".join(["id"] + [f"x{d + 1}" for d in range(p)]), [_ID] + [_COORD] * p, ids=True)))
+    def test_agrees_with_the_old_reader(self, tmp_path_factory, text):
+        path = tmp_path_factory.getbasetemp() / "diff_config.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        agrees_with_old_reader(
+            read_configuration_csv, oracles.read_configuration_csv, path,
+            lambda new, old: new.points.shape == old.points.shape and bits(new.points) == bits(old.points),
+            fits=True,  # the old reader kept the width rule too
+        )
 
 
 class TestPublicApi:

@@ -25,7 +25,7 @@ from stresstune import (
     rescale_to_unit,
 )
 from stresstune.data import _invert_swiss_arclength
-from conftest import malformed_csv
+from conftest import agrees_with_old_reader, malformed_csv, rows_fit_header
 
 
 class TestDomainShape:
@@ -311,6 +311,12 @@ class TestHaversine:
 _NAME = hst.text(max_size=6)
 _LAT = hst.floats(-90, 90).map(repr)
 _LNG = hst.floats(-180, 180).map(repr)
+_CITY_FIELDS = {"city": _NAME, "lat": _LAT, "lng": _LNG, "pop": hst.integers(0, 10**6).map(str)}
+# The required columns in any order, with up to two more: extra ones or repeats.
+_CITY_HEADERS = hst.tuples(
+    hst.permutations(["city", "lat", "lng"]),
+    hst.lists(hst.sampled_from(sorted(_CITY_FIELDS)), max_size=2),
+).flatmap(lambda t: hst.permutations(t[0] + t[1]))
 
 
 class TestLoadCities:
@@ -358,3 +364,31 @@ class TestLoadCities:
         except ValueError:
             return
         assert isinstance(table, CityTable) and table.n >= 1
+
+    @pytest.mark.parametrize("text", [
+        "lat,lng,city\n34.0,-118.0,A\n37.0,-122.0\n",  # once loaded as a city called None
+        "city,lat,lng\nA,34.0,-118.0\nB,37.0,-122.0,extra\n",
+    ])
+    def test_row_narrower_or_wider_than_its_header_names_the_row(self, tmp_path, text):
+        path = tmp_path / "cities.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match="row 3: .* fields, but the header has 3"):
+            load_cities(path)
+
+    def test_repeated_column_means_its_last_occurrence(self, tmp_path):
+        path = tmp_path / "cities.csv"
+        path.write_text("lat,city,lat,lng\nx,A,34.0,-118.0\n", encoding="utf-8")
+        assert load_cities(path).lat.tolist() == [34.0]
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=_CITY_HEADERS.flatmap(
+        lambda names: malformed_csv(",".join(names), [_CITY_FIELDS[c] for c in names])))
+    def test_agrees_with_the_old_reader(self, tmp_path_factory, text):
+        path = tmp_path_factory.getbasetemp() / "diff_cities.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        agrees_with_old_reader(
+            load_cities, oracles.load_cities, path,
+            lambda new, old: (new.names == old.names and new.lat.tobytes() == old.lat.tobytes()
+                              and new.lon.tobytes() == old.lon.tobytes()),
+            fits=rows_fit_header(text),
+        )

@@ -39,7 +39,14 @@ from stresstune.graph import (
     induced_subgraph_csr,
     shortest_paths_csr,
 )
-from conftest import block_budget, malformed_csv, patch_graph, small_graphs
+from conftest import (
+    agrees_with_old_reader,
+    block_budget,
+    malformed_csv,
+    patch_graph,
+    rows_fit_header,
+    small_graphs,
+)
 
 
 def line_config(*xs):
@@ -74,6 +81,20 @@ class TestDissimilarityGraph:
             DissimilarityGraph(3, [(0, 1, np.inf)])
         with pytest.raises(ValueError):
             DissimilarityGraph(3, [(0, 3, 1.0)])
+
+    @pytest.mark.parametrize("edges, named", [
+        ([(0, 1, 1.0), (2, 2, 1.0), (1, 1, 1.0)], "self loops are not allowed: edge (2, 2)"),
+        ([(0, 2, 1.0), (1, 2, 1.0), (2, 1, 2.0), (2, 0, 1.0)],
+         "duplicate edges are not allowed: edge (0, 2)"),
+        ([(0, 1, 1.0), (2, 1, -0.5), (0, 2, np.nan)], "edge (2, 1) has weight -0.5"),
+        ([(0, 1, 1.0), (0, 2, np.nan), (2, 1, -0.5)], "edge (0, 2) has weight nan"),
+        ([(0, 1, np.inf)], "edge (0, 1) has weight inf"),
+    ])
+    def test_refusal_names_the_first_offending_edge(self, edges, named):
+        # Self loops and weights in input order; repeated pairs in canonical order.
+        with pytest.raises(ValueError) as err:
+            DissimilarityGraph(3, edges)
+        assert named in str(err.value)
 
     def test_canonical_edge_order(self):
         g = DissimilarityGraph(4, [(3, 1, 2.0), (2, 0, 1.0), (1, 0, 5.0)])
@@ -594,6 +615,25 @@ class TestEdgeCsv:
             path.write_text(text)
             with pytest.raises(ValueError, match=f"row {row}: field larger than field limit"):
                 read_edge_csv(path)
+
+    def test_header_beyond_i_j_d_is_refused(self, tmp_path):
+        path = tmp_path / "graph.csv"
+        path.write_text("i,j,d,note\n0,1,1.0\n")
+        with pytest.raises(ValueError, match="row 1: expected header i,j,d"):
+            read_edge_csv(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=hst.sampled_from(["i,j,d", " i , j,d ", "i,j,d,x"]).flatmap(
+        lambda header: malformed_csv(header, [_INDEX, _INDEX, _WEIGHT])))
+    def test_agrees_with_the_old_reader(self, tmp_path_factory, text):
+        path = tmp_path_factory.getbasetemp() / "diff_graph.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        agrees_with_old_reader(
+            read_edge_csv, oracles.read_edge_csv, path,
+            lambda new, old: (new.n == old.n and edge_triples(new) == edge_triples(old)
+                              and new.weights.tobytes() == old.weights.tobytes()),
+            fits=rows_fit_header(text, exact=["i", "j", "d"]),
+        )
 
     @settings(max_examples=300, deadline=None)
     @given(text=malformed_csv("i,j,d", [_INDEX, _INDEX, _WEIGHT]))
