@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Configuration, DegenerateGeometryError, RigidMap, _Value
+from .core import Configuration, DegenerateGeometryError, RigidMap, _row_blocks, _Value
 
 
 def _procrustes(S: np.ndarray, T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -51,13 +51,10 @@ def aligned_error(estimate: Configuration, truth: Configuration) -> float:
 def diameter(config: Configuration) -> float:
     """Largest pairwise Euclidean distance, computed exactly (O(n^2))."""
     X = config.points
-    n, p = X.shape
     best = 0.0
-    block = max(1, int(4_000_000 // max(1, n * p)))
-    for s in range(0, n, block):
-        d = X[s : s + block, None, :] - X[None, :, :]
-        sq = np.einsum("ijk,ijk->ij", d, d)
-        best = max(best, float(sq.max(initial=0.0)))
+    for rows in _row_blocks(X.shape[0]):
+        d = X[rows, None, :] - X[None, :, :]
+        best = max(best, float(np.einsum("ijk,ijk->ij", d, d).max(initial=0.0)))
     return float(np.sqrt(best))
 
 

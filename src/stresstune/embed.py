@@ -13,14 +13,13 @@ from .core import (
     Configuration,
     DegenerateGeometryError,
     DenseSymmetricMatrix,
-    DisconnectedGraphError,
     StressTuneError,
     _check_dense_fits,
     _double_center_array,
     _top_eigenpairs_array,
     affine_rank,
 )
-from .graph import DissimilarityGraph, _dijkstra_csr, is_connected
+from .graph import DissimilarityGraph, _check_embeddable, _dijkstra_csr
 
 # Distances below this are treated as zero inside the majorization update.
 _SMACOF_DIST_FLOOR = 1e-12
@@ -82,12 +81,9 @@ def strain(config: Configuration, B: DenseSymmetricMatrix) -> float:
 
 def mds_d(g: DissimilarityGraph, p: int) -> Configuration:
     """Classical scaling after shortest-path completion of the missing pairs."""
+    _check_embeddable(g, p)
     # The completion and classical scaling's work array.
     _check_dense_fits("mds_d", g.n, 2)
-    if not is_connected(g):
-        raise DisconnectedGraphError("graph must be connected for shortest-path completion")
-    if not 1 <= p <= g.n:
-        raise ValueError(f"p must be in [1, {g.n}]")
     # The completion of a connected graph is finite, nonnegative, exactly
     # symmetric and zero on the diagonal, so classical_scaling's checks are moot.
     return Configuration(_classical_scaling_array(_dijkstra_csr(g._adj_csr()), p))
@@ -187,8 +183,7 @@ def smacof_refine(g: DissimilarityGraph, start: Configuration, return_history: b
     """
     if start.n != g.n:
         raise ValueError("start configuration must cover every node")
-    if not is_connected(g):
-        raise DisconnectedGraphError("stress majorization requires a connected graph")
+    _check_embeddable(g, start.p)
     Y, history = _smacof(g.n, g.ei, g.ej, g.weights, start.points, SMACOF_MAX_ITER, SMACOF_TOL)
     result = Configuration(Y)
     if return_history:

@@ -148,17 +148,22 @@ def _union_knn_pairs(nearest: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarra
     return key // n, key % n
 
 
+def _check_k(n: int, k: int) -> None:
+    """Refuse a neighbour count ``k`` that ``n`` points cannot supply."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if n <= k:
+        raise ValueError(f"need n > k, got n={n}, k={k}")
+
+
 def knn_graph(config: Configuration, k: int) -> DissimilarityGraph:
     """Symmetrized k-nearest-neighbor graph with Euclidean edge weights.
 
     An edge is kept when either endpoint lists the other among its k nearest
     (union symmetrization), so every node ends with degree >= k.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
     n = config.n
-    if n <= k:
-        raise ValueError(f"need n > k, got n={n}, k={k}")
+    _check_k(n, k)
     X = config.points
     _, idx = cKDTree(X).query(X, k=k + 1)
     ei, ej = _union_knn_pairs(np.atleast_2d(idx).astype(np.int64), k)
@@ -169,10 +174,7 @@ def knn_graph(config: Configuration, k: int) -> DissimilarityGraph:
 def knn_graph_from_matrix(matrix: DenseSymmetricMatrix, k: int) -> DissimilarityGraph:
     """Union-symmetrized k-NN graph over a precomputed dissimilarity matrix."""
     n = matrix.order
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if n <= k:
-        raise ValueError(f"need n > k, got n={n}, k={k}")
+    _check_k(n, k)
     D = matrix.values
     # The first k entries of a row other than its own node lie in its first k + 1.
     order = np.argsort(D, axis=1, kind="stable")[:, : k + 1]
@@ -273,6 +275,16 @@ def is_connected(g: DissimilarityGraph) -> bool:
     # A connected graph has at least n - 1 edges. Testing that first refuses
     # one with many isolated nodes before its O(n) adjacency is built.
     return g.edge_count >= g.n - 1 and _csgraph_components(g._adj_csr(), directed=False)[0] == 1
+
+
+def _check_embeddable(g: DissimilarityGraph, p: int, hops=()) -> None:
+    """Refuse a hop value below 1, then ``p`` outside [1, n], then a disconnected graph, before other work."""
+    if any(h < 1 for h in hops):
+        raise ValueError("hop values must be >= 1")
+    if not 1 <= p <= g.n:
+        raise ValueError(f"p must be >= 1 and at most n={g.n}")
+    if not is_connected(g):
+        raise DisconnectedGraphError("embedding requires a connected graph")
 
 
 def _row_positions(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -21,7 +21,6 @@ from scipy.sparse import csr_matrix
 from .align import _procrustes
 from .core import (
     Configuration,
-    DisconnectedGraphError,
     StressTuneError,
     _Value,
     affine_rank,
@@ -35,10 +34,10 @@ from .embed import (
 )
 from .graph import (
     DissimilarityGraph,
+    _check_embeddable,
     _row_positions,
     hop_balls,
     induced_subgraph_csr,
-    is_connected,
     shortest_paths_csr,
 )
 
@@ -183,12 +182,7 @@ def mds_map_p(
     double-centred work array of classical scaling). The balls are released
     before the final refinement.
     """
-    if h < 1:
-        raise ValueError("h must be >= 1")
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    if not is_connected(g):
-        raise DisconnectedGraphError("patch stitching requires a connected graph")
+    _check_embeddable(g, p, (h,))
     n = g.n
     balls = hop_balls(g, h)
     too_small = np.flatnonzero(np.diff(balls.indptr) < p + 1)

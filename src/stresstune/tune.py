@@ -18,8 +18,8 @@ from itertools import repeat
 import numpy as np
 
 from .align import aligned_error, scale_ratio
-from .core import Configuration, DisconnectedGraphError, StressTuneError, _check_dense_fits, _Value
-from .graph import DissimilarityGraph, is_connected
+from .core import Configuration, StressTuneError, _check_dense_fits, _Value
+from .graph import DissimilarityGraph, _check_embeddable
 from .stitch import mds_map_p
 
 # Node count from which a sweep runs its hop values in worker processes. Each
@@ -36,36 +36,56 @@ _POOL_MIN_NODES = 500
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
+# About 1.2e-77: targets below it make every stress term, a fourth power, vanish.
+_STRESS_MIN_SCALE = np.finfo(float).tiny ** 0.25
+
+
 def _edge_sq_dists(Y: np.ndarray, ei, ej) -> np.ndarray:
     diff = Y[ei] - Y[ej]
     return np.einsum("ij,ij->i", diff, diff)
 
 
+def _pair_stress(Y: np.ndarray, i: np.ndarray, j: np.ndarray, target: np.ndarray) -> float:
+    """``sum_k (||y_{i_k} - y_{j_k}||^2 - t_k^2)^2``, the one sum behind every stress.
+
+    The targets ``t`` are ``target``, or the pair distances of its rows if it
+    is 2-d. A stress that overflows, or whose largest target is nonzero but
+    below ``_STRESS_MIN_SCALE``, raises :class:`StressTuneError` naming it.
+    """
+    largest = target.max(initial=0.0) if target.ndim == 1 else np.inf
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            target_sq = target**2 if target.ndim == 1 else _edge_sq_dists(target, i, j)
+            if target.ndim == 2:
+                largest = np.sqrt(target_sq.max(initial=0.0))
+            total = float(((_edge_sq_dists(Y, i, j) - target_sq) ** 2).sum())
+    except FloatingPointError:
+        total = np.inf
+    vanishes = 0.0 < largest < _STRESS_MIN_SCALE
+    if vanishes or not np.isfinite(total):  # einsum overflows to inf without a flag
+        how = "underflows" if vanishes else "overflows"
+        raise StressTuneError(
+            f"the stress {how} float64 (largest dissimilarity {largest:g}); rescale the graph"
+        )
+    return total
+
+
 def stress(g: DissimilarityGraph, config: Configuration) -> float:
     """Raw stress of a configuration against the observed dissimilarities.
 
-    ``sum over edges of (||y_i - y_j||^2 - d_ij^2)^2``. A sum beyond float64
-    raises :class:`StressTuneError`: it is quartic in the dissimilarities.
+    ``sum over edges of (||y_i - y_j||^2 - d_ij^2)^2``. A stress that overflows
+    float64, or whose every term vanishes in it, raises :class:`StressTuneError`.
     """
     if config.n != g.n:
         raise ValueError("configuration must cover every node")
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            sq = _edge_sq_dists(config.points, g.ei, g.ej)
-            return float(((sq - g.weights**2) ** 2).sum())
-    except FloatingPointError:
-        raise StressTuneError(
-            f"the stress overflows float64 (largest dissimilarity {g.weights.max():g}); rescale the graph"
-        ) from None
+    return _pair_stress(config.points, g.ei, g.ej, g.weights)
 
 
 def noiseless_stress(g: DissimilarityGraph, config: Configuration, truth: Configuration) -> float:
     """Stress with observed dissimilarities replaced by true edge distances."""
     if config.n != g.n or truth.n != g.n:
         raise ValueError("configurations must cover every node")
-    sq = _edge_sq_dists(config.points, g.ei, g.ej)
-    true_sq = _edge_sq_dists(truth.points, g.ei, g.ej)
-    return float(((sq - true_sq) ** 2).sum())
+    return _pair_stress(config.points, g.ei, g.ej, truth.points)
 
 
 def complete_noiseless_stress(config: Configuration, truth: Configuration) -> float:
@@ -76,9 +96,7 @@ def complete_noiseless_stress(config: Configuration, truth: Configuration) -> fl
     # for n = 1,000-3,000.
     _check_dense_fits("complete_noiseless_stress", config.n, 4)
     iu, ju = np.triu_indices(config.n, k=1)
-    sq = _edge_sq_dists(config.points, iu, ju)
-    true_sq = _edge_sq_dists(truth.points, iu, ju)
-    return float(((sq - true_sq) ** 2).sum())
+    return _pair_stress(config.points, iu, ju, truth.points)
 
 
 @dataclass(frozen=True)
@@ -177,13 +195,14 @@ def _sweep_one(
     truth: Configuration | None,
     refine_patches: bool,
     final_refine: bool,
-) -> tuple[SweepRow, Configuration | None]:
-    """Stitch and score one hop value; a stitch's domain error yields a failed row."""
+) -> tuple[SweepRow, Configuration | None, str | None]:
+    """Stitch and score one hop value; a stitch's domain error yields a failed row and its message."""
     start = time.perf_counter()
+    config = cause = None
     try:
         config = mds_map_p(g, h, p, refine_patches=refine_patches, final_refine=final_refine)
-    except StressTuneError:
-        config = None
+    except StressTuneError as exc:
+        cause = str(exc)
     s = per_edge = err = ratio = None
     if config is not None:
         s = stress(g, config)
@@ -199,7 +218,7 @@ def _sweep_one(
         wall_time_s=time.perf_counter() - start,
         failed=config is None,
     )
-    return row, config
+    return row, config, cause
 
 
 def _exit_with_parent() -> None:
@@ -271,8 +290,10 @@ def sweep_hops(
 ) -> SweepReport:
     """Stitch the graph at each hop radius and score the results by stress.
 
-    Hop values whose stitch fails with a domain error are kept as ``failed``
-    rows; a stress beyond float64 raises instead. When ``truth`` is given,
+    Bad hop values, ``p`` and a disconnected graph are refused before any
+    stitch. Hop values whose stitch fails with a domain error are kept as
+    ``failed`` rows (if all fail, the error names each cause); a stress beyond
+    float64 raises instead. When ``truth`` is given,
     rows also carry the aligned embedding error and the scale ratio. Pass a
     dict as ``embeddings`` to receive the per-h configurations.
 
@@ -285,12 +306,9 @@ def sweep_hops(
     hs = sorted({int(h) for h in hs})
     if not hs:
         raise ValueError("need at least one hop value")
-    if any(h < 1 for h in hs):
-        raise ValueError("hop values must be >= 1")
     if truth is not None and truth.n != g.n:
         raise ValueError("truth configuration must cover every node")
-    if not is_connected(g):
-        raise DisconnectedGraphError("patch stitching requires a connected graph")
+    _check_embeddable(g, p, hs)
     workers = min(len(hs), _usable_cores()) if g.n >= _POOL_MIN_NODES else 1
 
     args = (g, p, truth, refine_patches, final_refine)
@@ -300,11 +318,14 @@ def sweep_hops(
         outcomes = {h: _sweep_one(h, *args) for h in hs[::-1]}
 
     rows = []
+    causes: dict[str | None, list[int]] = {}  # None for the hop values that stitched
     for h in hs:
-        row, config = outcomes[h]
+        row, config, cause = outcomes[h]
         rows.append(row)
+        causes.setdefault(cause, []).append(h)
         if embeddings is not None and config is not None:
             embeddings[h] = config
     if all(r.failed for r in rows):
-        raise StressTuneError(f"every swept hop value failed: {hs}")
+        named = "; ".join(f"h={', '.join(map(str, failed))}: {cause}" for cause, failed in causes.items())
+        raise StressTuneError(f"every swept hop value failed: {hs}; {named}")
     return SweepReport(rows=tuple(rows))

@@ -1,7 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
+from hypothesis.extra import numpy as hnp
 
-from conftest import rotation
+import oracles
+from conftest import block_budget, rotation
 from stresstune import (
     Configuration,
     DegenerateGeometryError,
@@ -107,6 +113,25 @@ class TestDiameterAndReport:
     def test_diameter_hand_case(self):
         cfg = Configuration([[0.0, 0.0], [3.0, 4.0], [1.0, 1.0]])
         assert diameter(cfg) == pytest.approx(5.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        points=hst.integers(1, 3).flatmap(lambda p: hnp.arrays(
+            np.float64, hst.tuples(hst.integers(1, 25), hst.just(p)),
+            elements=hst.sampled_from([-1.5, 0.0, 0.25, 1.0, 3.0]) | hst.floats(-1e3, 1e3),
+        )),
+        rows=hst.integers(1, 8),
+    )
+    def test_diameter_matches_all_pairs_loop_in_any_blocks(self, points, rows):
+        # Duplicate and collinear points included; blocks of 1-8 rows. Each
+        # pair's squared distance is einsum's sum over the p coordinates, whose
+        # order a Python sum need not share, so the loop sums the same way.
+        n = points.shape[0]
+        diffs = [points[i : i + 1, None] - points[None, j : j + 1] for i in range(n) for j in range(n)]
+        want = math.sqrt(max(float(np.einsum("ijk,ijk->ij", d, d)[0, 0]) for d in diffs))
+        with block_budget(n, rows):
+            assert diameter(Configuration(points)) == want
+        assert want == pytest.approx(math.sqrt(oracles.sq_dist_double_loop(points).max()), rel=1e-15)
 
     def test_normalized_rmse_definition(self, rng):
         est = Configuration(rng.uniform(size=(12, 2)))

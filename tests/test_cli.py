@@ -162,6 +162,47 @@ class TestSweep:
         assert "RuntimeWarning" not in proc.stderr
         assert not (tmp_path / "o" / "sweep.json").exists()
 
+    def test_tiny_dissimilarities_exit_1_naming_the_underflow(self, tmp_path, capsys):
+        # Every stress term is about 1e-400, so the stresses would all be 0.0.
+        assert run(["generate", "--shape", "rectangle", "--n", 80, "--seed", 0, "--out", tmp_path]) == 0
+        g = read_edge_csv(tmp_path / "graph.csv")
+        write_edge_csv(DissimilarityGraph(g.n, (g.ei, g.ej, g.weights * 1e-100)), tmp_path / "tiny.csv")
+        code = run(["sweep", "--graph", tmp_path / "tiny.csv", "--hops", "1,2,3,5",
+                    "--no-patch-refine", "--no-final-refine", "--out", tmp_path / "o"])
+        assert code == 1
+        want = f"the stress underflows float64 (largest dissimilarity {g.weights.max() * 1e-100:g})"
+        assert capsys.readouterr().err == f"stresstune: error: {want}; rescale the graph\n"
+        assert not (tmp_path / "o" / "sweep.json").exists()
+
+    def test_p_beyond_n_exits_1_before_any_worker(self, tmp_path, capsys, monkeypatch):
+        import stresstune.tune as tune_module
+
+        def no_workers(*args):
+            raise AssertionError("a worker pool was started")
+
+        # The README graph: 1,260 nodes, so its hop values would run in workers.
+        assert run(["generate", "--shape", "hollow", "--n", 1200, "--k", 15, "--sigma", 0.15,
+                    "--seed", 0, "--out", tmp_path]) == 0
+        monkeypatch.setattr(tune_module, "_sweep_in_processes", no_workers)
+        code = run(["sweep", "--graph", tmp_path / "graph.csv", "--p", 2000, "--hops", "1,2,3,5,10,15",
+                    "--no-patch-refine", "--no-final-refine", "--out", tmp_path / "o"])
+        assert code == 1
+        assert capsys.readouterr().err == "stresstune: error: p must be >= 1 and at most n=1260\n"
+
+    def test_all_zero_weights_name_each_cause(self, tmp_path, capsys):
+        # 306 nodes: h=1 and h=2 place degenerate overlaps, and the h=3 seed
+        # patch (above order 80) reaches ARPACK, which refuses the all-zero matrix.
+        g = knn_graph(generate_shape(DomainShape.named("hollow_rectangle"), 300, seed=0), 10)
+        zero = tmp_path / "zero.csv"
+        write_edge_csv(DissimilarityGraph(g.n, (g.ei, g.ej, np.zeros(g.edge_count))), zero)
+        code = run(["sweep", "--graph", zero, "--hops", "1,2,3", "--no-patch-refine",
+                    "--no-final-refine", "--out", tmp_path / "o"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("stresstune: error: every swept hop value failed: [1, 2, 3]; h=1: ")
+        assert "; h=2: placed overlap of patch at node " in err
+        assert "; h=3: eigendecomposition failed: ARPACK error -9" in err
+
     def test_bad_hop_list_exits_2(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run(["sweep", "--graph", tmp_path / "g.csv", "--hops", "1,x",
@@ -288,6 +329,15 @@ class TestEmbedAndAlign:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("stresstune: error:") and "row 3" in err
+
+    def test_mdsd_on_a_huge_index_names_the_disconnection(self, tmp_path, capsys):
+        # Three edges cannot connect 10^8 + 1 nodes; that is the refusal, not
+        # the memory the dense completion would need.
+        (tmp_path / "big.csv").write_text("i,j,d\n0,1,1.0\n1,2,1.0\n2,100000000,1.0\n")
+        code = run(["embed", "--method", "mdsd", "--graph", tmp_path / "big.csv",
+                    "--out", tmp_path / "o"])
+        assert code == 1
+        assert capsys.readouterr().err == "stresstune: error: embedding requires a connected graph\n"
 
     def test_seqtrilat_on_a_huge_index_exits_1_at_once(self, tmp_path):
         # The node count is the largest index + 1, about 9.2e18; one Python

@@ -9,8 +9,10 @@ from hypothesis import strategies as hst
 
 import oracles
 import stresstune.core as core_module
+import stresstune.embed as embed_module
 import stresstune.graph as graph_module
 import stresstune.stitch as stitch_module
+import stresstune.tune as tune_module
 from stresstune import (
     Configuration,
     DenseSymmetricMatrix,
@@ -23,10 +25,13 @@ from stresstune import (
     is_connected,
     knn_graph,
     knn_graph_from_matrix,
+    mds_d,
     mds_map_p,
     min_connectivity_radius,
     radius_graph,
     read_edge_csv,
+    smacof_refine,
+    sweep_hops,
     write_edge_csv,
 )
 from scipy.sparse.csgraph import dijkstra as scipy_dijkstra
@@ -34,6 +39,7 @@ from scipy.sparse.csgraph import dijkstra as scipy_dijkstra
 from stresstune.embed import _classical_scaling_array
 from stresstune.graph import (
     _FLOYD_WARSHALL_MAX_ORDER,
+    _check_embeddable,
     _dijkstra_csr,
     _row_positions,
     induced_subgraph_csr,
@@ -178,6 +184,15 @@ class TestKnnGraph:
         with pytest.raises(ValueError):
             knn_graph(line_config(0, 1), 2)
 
+    @pytest.mark.parametrize("k, message", [(0, "k must be >= 1"), (3, "need n > k, got n=3, k=3")])
+    def test_both_builders_refuse_k_alike(self, k, message):
+        points = line_config(0, 1, 5)
+        D = DenseSymmetricMatrix(np.sqrt(oracles.sq_dist_double_loop(points.points)))
+        for build, source in ((knn_graph, points), (knn_graph_from_matrix, D)):
+            with pytest.raises(ValueError) as exc:
+                build(source, k)
+            assert str(exc.value) == message
+
 
 class TestKnnGraphFromMatrix:
     def test_agrees_with_point_based_version(self, rng):
@@ -316,6 +331,57 @@ class TestIsConnected:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+
+def refusal(call):
+    """``(type, message)`` of the exception ``call()`` raises, or None if it returns."""
+    try:
+        call()
+    except Exception as exc:  # the property compares whatever is raised
+        return type(exc), str(exc)
+    return None
+
+
+class TestCheckEmbeddable:
+    def test_order_and_messages(self):
+        split = DissimilarityGraph(4, [(0, 1, 1.0), (2, 3, 1.0)])
+        path = DissimilarityGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
+        # Hop values first, then p, then connectivity: each refusal hides the later ones.
+        assert refusal(lambda: _check_embeddable(split, 0, (2, 0))) == (
+            ValueError, "hop values must be >= 1")
+        assert refusal(lambda: _check_embeddable(split, 0, (2,))) == (
+            ValueError, "p must be >= 1 and at most n=4")
+        assert refusal(lambda: _check_embeddable(split, 5)) == (
+            ValueError, "p must be >= 1 and at most n=4")
+        assert refusal(lambda: _check_embeddable(split, 2, (1, 3))) == (
+            DisconnectedGraphError, "embedding requires a connected graph")
+        assert refusal(lambda: _check_embeddable(path, 3, (1,))) is None
+        assert refusal(lambda: _check_embeddable(path, 1)) is None
+
+    @settings(max_examples=150, deadline=None)
+    @given(g=small_graphs(), data=hst.data())
+    def test_every_embedder_refuses_as_the_check_does(self, g, data):
+        # Each entry point raises what the check raises, before any worker pool
+        # or dense-memory guard is reached.
+        p = data.draw(hst.integers(-1, g.n + 2), label="p")
+        hs = data.draw(hst.lists(hst.integers(-1, 3), min_size=1, max_size=3), label="hops")
+        calls = [
+            ((hs[0],), lambda: mds_map_p(g, hs[0], p)),
+            (hs, lambda: sweep_hops(g, p, hs)),
+            ((), lambda: mds_d(g, p)),
+        ]
+        if p >= 1:
+            calls.append(((), lambda: smacof_refine(g, Configuration(np.zeros((g.n, p))))))
+
+        def unreachable(*args):
+            raise AssertionError("reached past the entry check")
+
+        with mock.patch.object(tune_module, "_sweep_in_processes", unreachable), \
+                mock.patch.object(embed_module, "_check_dense_fits", unreachable):
+            for hops, call in calls:
+                want = refusal(lambda: _check_embeddable(g, p, hops))
+                if want is not None:
+                    assert refusal(call) == want
 
 
 class TestHopBalls:

@@ -26,7 +26,7 @@ from stresstune import (
     stress,
 )
 from stresstune.data import DomainShape
-from stresstune.graph import induced_subgraph_csr, shortest_paths_csr
+from stresstune.graph import _FLOYD_WARSHALL_MAX_ORDER, induced_subgraph_csr, shortest_paths_csr
 from stresstune.stitch import _embed_members, _merge_plan, merge
 from stresstune.tune import stress as raw_stress
 
@@ -256,6 +256,21 @@ class TestMdsMapP:
         stitched = mds_map_p(g, 100, 2, refine_patches=False, final_refine=False)
         direct = mds_d(g, 2)
         assert aligned_error(stitched, direct) <= 1e-9 * diameter(direct)
+
+    @pytest.mark.parametrize("shape, n", [("hollow_rectangle", 300), ("rectangle", 500), ("rectangle", 150)])
+    def test_mds_d_is_the_one_patch_stitch(self, shape, n):
+        # At h = n the seed ball is the whole graph and every later patch adds
+        # nothing, so the stitch completes and scales what mds_d does. Above
+        # _FLOYD_WARSHALL_MAX_ORDER both complete by Dijkstra, bit for bit; at
+        # or below it the patch completes by Floyd-Warshall, which rounds differently.
+        truth = generate_shape(DomainShape.named(shape), n, seed=0)
+        g = apply_multiplicative_noise(knn_graph(truth, 10), 0.15, seed=1)
+        direct = mds_d(g, 2)
+        stitched = mds_map_p(g, g.n, 2, refine_patches=False, final_refine=False)
+        if g.n > _FLOYD_WARSHALL_MAX_ORDER:
+            assert np.array_equal(stitched.points, direct.points)
+        else:
+            assert np.abs(stitched.points - direct.points).max() <= 1e-14 * diameter(direct)
 
     def test_uncoverable_centers_error_lists_nodes(self):
         # Every 1-hop ball of an 8-cycle has 3 nodes; after the seed ball

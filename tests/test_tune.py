@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -174,6 +175,85 @@ class TestCompleteNoiselessStress:
         assert a == pytest.approx(b, rel=1e-12)
 
 
+def old_or_none(call):
+    """What the old stress function ``call`` returns, or None where it raised."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the old noiseless sums warned
+            return call()
+    except StressTuneError:
+        return None
+
+
+SCALE_EXPONENTS = hst.one_of(hst.integers(-8, 8), hst.integers(-1080, 1020))
+
+
+class TestPairStress:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=hst.integers(0, 2**32 - 1),
+        n=hst.integers(1, 7),
+        p=hst.integers(1, 3),
+        target_exp=SCALE_EXPONENTS,
+        config_exp=SCALE_EXPONENTS,
+        zero=hst.booleans(),
+    )
+    def test_old_bits_wherever_float64_holds_the_stress(self, seed, n, p, target_exp, config_exp, zero):
+        # Targets and configurations at scales 2^-1080..2^1020. Where the old
+        # sum is finite and the largest target is zero or at least
+        # _STRESS_MIN_SCALE, the shared sum gives its bits; elsewhere it refuses.
+        r = np.random.default_rng(seed)
+        unit = r.uniform(size=(n, p)) * (not zero)
+        truth = Configuration(np.ldexp(unit, target_exp))
+        config = Configuration(np.ldexp(r.uniform(-1.0, 1.0, size=(n, p)), config_exp))
+        unit_g = complete_graph(unit)
+        g = DissimilarityGraph(n, (unit_g.ei, unit_g.ej, np.ldexp(unit_g.weights, target_exp)))
+        iu, ju = np.triu_indices(n, k=1)
+        largest_true = np.sqrt(oracles._edge_sq_dists(truth.points, iu, ju).max(initial=0.0))
+        cases = [
+            (lambda f: f(g, config), stress, oracles.stress, g.weights.max(initial=0.0)),
+            (lambda f: f(g, config, truth), noiseless_stress, oracles.noiseless_stress, largest_true),
+            (lambda f: f(config, truth), complete_noiseless_stress, oracles.complete_noiseless_stress,
+             largest_true),
+        ]
+        for call, new, old, largest in cases:
+            want = old_or_none(lambda: call(old))
+            if want is not None and np.isfinite(want) and not 0.0 < largest < tune._STRESS_MIN_SCALE:
+                assert call(new) == want
+            else:
+                with pytest.raises(StressTuneError, match=r"^the stress (over|under)flows float64 "
+                                                          r"\(largest dissimilarity .*\); rescale"):
+                    call(new)
+
+    def test_underflow_names_the_largest_dissimilarity(self, rng):
+        pts = rng.uniform(size=(6, 2))
+        g = scaled(complete_graph(pts), 1e-100)
+        largest = re.escape(f"(largest dissimilarity {g.weights.max():g})")
+        with pytest.raises(StressTuneError, match=f"^the stress underflows float64 {largest}; rescale"):
+            stress(g, Configuration(pts * 1e-100))
+        # A subnormal dissimilarity squares to zero, and is refused all the same.
+        tiny = DissimilarityGraph(2, [(0, 1, 5e-324)])
+        with pytest.raises(StressTuneError, match=r"underflows float64 \(largest dissimilarity 4.94066e-324\)"):
+            stress(tiny, Configuration(np.zeros((2, 1))))
+
+    def test_all_zero_targets_are_not_refused(self, rng):
+        pts = rng.uniform(size=(5, 2))
+        g = scaled(complete_graph(pts), 0.0)
+        y = Configuration(pts)
+        assert stress(g, y) == oracles.stress(g, y) > 0.0
+        zero = Configuration(np.zeros((5, 2)))
+        assert noiseless_stress(g, zero, zero) == complete_noiseless_stress(zero, zero) == 0.0
+
+    def test_noiseless_overflow_refused_instead_of_inf(self, rng):
+        pts = rng.uniform(size=(6, 2))
+        g = complete_graph(pts)
+        huge = Configuration(pts * 1e100)
+        for call in (lambda: noiseless_stress(g, Configuration(pts), huge),
+                     lambda: complete_noiseless_stress(Configuration(pts), huge)):
+            with pytest.raises(StressTuneError, match="^the stress overflows float64"):
+                call()
+
+
 class TestSweepRowAndReport:
     def make_report(self):
         rows = (
@@ -321,10 +401,38 @@ class TestSweepHops:
         with pytest.raises(StressTuneError, match="the stress overflows float64"):
             sweep_hops(g, 2, [1, 2, 3, 5], refine_patches=False, final_refine=False)
 
+    def test_underflowing_stress_raises_instead_of_a_row(self):
+        # Every term of every stress is about 1e-400: rather than select h by
+        # tie-break among 0.0 stresses, the sweep fails.
+        truth = generate_shape(DomainShape.named("rectangle"), 80, seed=0)
+        g = scaled(knn_graph(truth, 15), 1e-100)
+        with pytest.raises(StressTuneError, match=r"^the stress underflows float64 \(largest dissimilarity"):
+            sweep_hops(g, 2, [1, 2, 3, 5], refine_patches=False, final_refine=False)
+
     def test_all_h_failing_raises(self):
         g = DissimilarityGraph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
         with pytest.raises(StressTuneError):
             sweep_hops(g, 2, [1])
+
+    def test_all_h_failing_names_each_cause_with_its_hop_values(self, monkeypatch):
+        def failing(g, h, p, **kwargs):
+            raise StressTuneError("odd h" if h % 2 else "even h")
+
+        monkeypatch.setattr(tune, "mds_map_p", failing)
+        g = DissimilarityGraph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
+        with pytest.raises(StressTuneError) as exc:
+            sweep_hops(g, 2, [3, 1, 2])
+        # Causes in the order of their smallest hop value, each with all of its own.
+        assert str(exc.value) == "every swept hop value failed: [1, 2, 3]; h=1, 3: odd h; h=2: even h"
+
+    def test_p_beyond_n_refused_before_any_stitch(self, monkeypatch):
+        def no_stitch(*args, **kwargs):
+            raise AssertionError("a hop value was stitched")
+
+        monkeypatch.setattr(tune, "mds_map_p", no_stitch)
+        g = DissimilarityGraph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
+        with pytest.raises(ValueError, match=r"^p must be >= 1 and at most n=4$"):
+            sweep_hops(g, 5, [1, 2, 3])
 
     def test_truth_enables_error_and_scale_columns(self, rng):
         pts = rng.uniform(size=(12, 2))
@@ -376,14 +484,16 @@ class TestSweepHops:
             assert dict(os.environ) == environ
             assert sorted(parallel) == hs
             for h in hs:
-                (row, config), (want_row, want_config) = parallel[h], serial[h]
+                (row, config, cause), (want_row, want_config, want_cause) = parallel[h], serial[h]
                 assert replace(row, wall_time_s=None) == replace(want_row, wall_time_s=None)
+                assert cause == want_cause
                 if want_config is None:
                     assert config is None
                 else:
                     assert np.array_equal(config.points, want_config.points)
                     assert not config.points.flags.writeable
         assert parallel[1][0].failed
+        assert parallel[1][2] == "2 patch(es) have fewer than p+1=3 nodes (centers 0, 3)"
 
     def test_disconnected_graph_refused_before_any_worker(self, rng, monkeypatch):
         # Two unit squares of 300 points, 10 apart, so no 8-NN edge joins them:
@@ -530,7 +640,7 @@ class TestSweepHops:
             "    else:\n"
             "        out = {h: tune._sweep_one(h, *args) for h in hs}\n"
             "    for h in hs:\n"
-            "        row, config = out[h]\n"
+            "        row, config, _ = out[h]\n"
             "        print(h, repr(row.stress), hashlib.sha256(config.points.tobytes()).hexdigest())\n"
         )
         src = str(Path(stresstune.__file__).resolve().parent.parent)
