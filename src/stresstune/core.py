@@ -14,7 +14,7 @@ import os
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.sparse.linalg import ArpackError, eigsh
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 # Tolerances fixed by the data contracts (exercised directly in the tests).
 SYMMETRY_ATOL = 1e-12
@@ -27,6 +27,15 @@ PINV_RCOND = 1e-10
 # Lanczos: m=64 0.31-0.47 vs 0.36-0.57, m=72 0.39-0.61 vs 0.37-0.55,
 # m=80 0.47-0.69 vs 0.36-0.58, m~120 1.0 vs 0.4, m~900+ 172 vs 9.
 _DENSE_EIGH_MAX_ORDER = 80
+
+# Rows per np.dot in the Lanczos matrix-vector product. On two threads,
+# OpenBLAS 0.3.31 rounds a whole-matrix B @ x differently from one thread at
+# some orders (700, 1,500 and 2,330 of those tried); blocks of 256 rows gave
+# the one-thread bits of B @ x on one and two threads at every order tried,
+# 81 to 6,000. Per matvec on one thread (2-vCPU host), blocked vs whole:
+# 1.88 vs 1.93 ms at m=2,330. Blocks of 64 rows were up to 2x slower on two
+# threads.
+_MATVEC_BLOCK_ROWS = 256
 
 # Bytes of dense float64 scratch that one block of rows may hold: hop_balls
 # runs its truncated searches from this many rows' worth of sources at a time,
@@ -235,6 +244,18 @@ def _double_center_array(W: np.ndarray) -> np.ndarray:
     return W
 
 
+def _blocked_matvec(B: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``B @ x`` written into ``out``, one ``np.dot`` per block of ``_MATVEC_BLOCK_ROWS`` rows.
+
+    The blocks are fixed, so the BLAS thread count does not choose how the
+    product is split, and the bits are those of ``B @ x`` on one thread.
+    """
+    for start in range(0, B.shape[0], _MATVEC_BLOCK_ROWS):
+        rows = slice(start, start + _MATVEC_BLOCK_ROWS)
+        np.dot(B[rows], x, out=out[rows])
+    return out
+
+
 def _top_eigenpairs_array(B: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Dense ``eigh`` up to ``_DENSE_EIGH_MAX_ORDER`` or for ``p > k // 4``, else Lanczos."""
     k = B.shape[0]
@@ -247,7 +268,9 @@ def _top_eigenpairs_array(B: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray
             # calls in the process, and a constant one lies in the null space
             # of a double-centred matrix.
             v0 = np.random.default_rng(0).standard_normal(k)
-            vals, vecs = eigsh(B, k=p, which="LA", v0=v0)
+            out = np.empty(k)  # ARPACK copies each product out before the next
+            op = LinearOperator((k, k), matvec=lambda x: _blocked_matvec(B, x, out), dtype=B.dtype)
+            vals, vecs = eigsh(op, k=p, which="LA", v0=v0)
     except (np.linalg.LinAlgError, ArpackError) as exc:  # ArpackNoConvergence included
         raise EigenSolverError(f"eigendecomposition failed: {exc}") from exc
     # Both solvers return ascending eigenvalues.

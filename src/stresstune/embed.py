@@ -29,10 +29,17 @@ SMACOF_TOL = 1e-6
 
 
 def _classical_scaling_array(D: np.ndarray, p: int) -> np.ndarray:
-    # One work array, the same products as -0.5 * D * D; D itself is never written.
-    W = np.multiply(D, -0.5)
-    W *= D
-    B = _double_center_array(W)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            # One work array, the same products as -0.5 * D * D; D itself is never written.
+            W = np.multiply(D, -0.5)
+            W *= D
+            B = _double_center_array(W)
+    except FloatingPointError as exc:
+        raise StressTuneError(
+            f"the squared dissimilarities overflow float64 (largest dissimilarity {D.max():g}); "
+            "rescale the graph"
+        ) from exc
     vals, vecs = _top_eigenpairs_array(B, p)
     # Canonical signs: each eigenvector's largest-magnitude entry (the first
     # on ties) is positive, whichever solver ran.
@@ -105,18 +112,14 @@ def _grounded_laplacian(n: int, ei: np.ndarray, ej: np.ndarray) -> csc_matrix:
 
 
 def _smacof(
-    n: int,
-    ei: np.ndarray,
-    ej: np.ndarray,
-    d: np.ndarray,
-    Y0: np.ndarray,
-    max_iter: int,
-    tol: float,
+    n: int, ei: np.ndarray, ej: np.ndarray, d: np.ndarray, Y0: np.ndarray
 ) -> tuple[np.ndarray, list[float]]:
     """Guttman majorization of ``sum_E (||y_i - y_j|| - d_ij)^2`` (unit weights).
 
     Returns the final iterate and the stress value at every accepted iterate;
     the sequence is nonincreasing (a step that fails to decrease is dropped).
+    It stops when the relative stress decrease falls below ``SMACOF_TOL`` or
+    after ``SMACOF_MAX_ITER`` steps.
     The graph must be connected. Each step solves with a sparse LU of the
     Laplacian grounded at node 0 (Gansner, Koren & North, GD 2004), so memory
     is O(n + edges + fill-in) rather than O(n^2); iterates after the first
@@ -132,7 +135,7 @@ def _smacof(
     diff, dist = edge_diffs(Y)
     stress = float(((dist - d) ** 2).sum())
     history = [stress]
-    if stress == 0.0 or max_iter < 1 or ei.size == 0:
+    if stress == 0.0 or ei.size == 0:
         return Y, history
 
     # B(Y)Y sums to zero over nodes and the graph is connected, so L X = B(Y)Y
@@ -148,7 +151,7 @@ def _smacof(
     p = Y.shape[1]
     BY = np.empty((n, p))
     ratio = np.empty_like(dist)
-    for _ in range(max_iter):
+    for _ in range(SMACOF_MAX_ITER):
         ratio.fill(0.0)
         np.divide(d, dist, out=ratio, where=dist >= _SMACOF_DIST_FLOOR)
         for dim in range(p):
@@ -168,7 +171,7 @@ def _smacof(
         decrease = stress - stress_new
         stress = stress_new
         history.append(stress)
-        if stress == 0.0 or decrease < tol * (stress + decrease):
+        if stress == 0.0 or decrease < SMACOF_TOL * (stress + decrease):
             break
     return Y, history
 
@@ -184,7 +187,7 @@ def smacof_refine(g: DissimilarityGraph, start: Configuration, return_history: b
     if start.n != g.n:
         raise ValueError("start configuration must cover every node")
     _check_embeddable(g, start.p)
-    Y, history = _smacof(g.n, g.ei, g.ej, g.weights, start.points, SMACOF_MAX_ITER, SMACOF_TOL)
+    Y, history = _smacof(g.n, g.ei, g.ej, g.weights, start.points)
     result = Configuration(Y)
     if return_history:
         return result, history

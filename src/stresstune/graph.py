@@ -26,6 +26,7 @@ from .core import (
     Configuration,
     DenseSymmetricMatrix,
     DisconnectedGraphError,
+    StressTuneError,
     _check_dense_fits,
     _csv_rows,
     _row_blocks,
@@ -197,7 +198,8 @@ def min_connectivity_radius(config: Configuration) -> float:
     """Longest edge of a Euclidean minimum spanning tree.
 
     The radius graph is connected at this value and disconnected at any
-    strictly smaller one. Prim's algorithm over implicit dense distances.
+    strictly smaller one. Prim's algorithm over implicit dense distances;
+    points whose squared distances overflow float64 raise ``StressTuneError``.
     """
     X = config.points
     n = X.shape[0]
@@ -205,15 +207,22 @@ def min_connectivity_radius(config: Configuration) -> float:
         raise ValueError("need at least two points")
     in_tree = np.zeros(n, dtype=bool)
     in_tree[0] = True
-    best = np.linalg.norm(X - X[0], axis=1)
-    best[0] = np.inf
-    bottleneck = 0.0
-    for _ in range(n - 1):
-        d = np.where(in_tree, np.inf, best)
-        v = int(np.argmin(d))
-        bottleneck = max(bottleneck, float(d[v]))
-        in_tree[v] = True
-        best = np.minimum(best, np.linalg.norm(X - X[v], axis=1))
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            best = np.linalg.norm(X - X[0], axis=1)
+            best[0] = np.inf
+            bottleneck = 0.0
+            for _ in range(n - 1):
+                d = np.where(in_tree, np.inf, best)
+                v = int(np.argmin(d))
+                bottleneck = max(bottleneck, float(d[v]))
+                in_tree[v] = True
+                best = np.minimum(best, np.linalg.norm(X - X[v], axis=1))
+    except FloatingPointError as exc:
+        raise StressTuneError(
+            f"the squared distances between points overflow float64 (largest coordinate "
+            f"{np.abs(X).max():g}); rescale the points"
+        ) from exc
     return bottleneck
 
 

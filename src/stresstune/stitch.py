@@ -25,13 +25,7 @@ from .core import (
     _Value,
     affine_rank,
 )
-from .embed import (
-    SMACOF_MAX_ITER,
-    SMACOF_TOL,
-    _classical_scaling_array,
-    _smacof,
-    smacof_refine,
-)
+from .embed import _classical_scaling_array, _smacof, smacof_refine
 from .graph import (
     DissimilarityGraph,
     _check_embeddable,
@@ -81,7 +75,7 @@ def _embed_members(
     sub, (ei, ej, w) = induced_subgraph_csr(g, members)
     Y = _classical_scaling_array(shortest_paths_csr(sub), p)
     if refine:
-        Y, _ = _smacof(members.size, ei, ej, w, Y, SMACOF_MAX_ITER, SMACOF_TOL)
+        Y, _ = _smacof(members.size, ei, ej, w, Y)
     return Y
 
 

@@ -16,7 +16,10 @@ def _scale(values, lo_px, hi_px):
     """Map the range of ``values`` onto ``[lo_px, hi_px]``; the map and five evenly spaced ticks."""
     vmin, vmax = min(values), max(values)
     if vmax == vmin:
-        vmin, vmax = vmin - 0.5, vmax + 0.5
+        # A flat series sits mid-axis: pad it by 0.5, or by a sixteenth of its
+        # magnitude where rounding loses 0.5 (from about 2**53 on).
+        pad = 0.5 if vmin - 0.5 != vmin + 0.5 else abs(vmin) / 16
+        vmin, vmax = vmin - pad, vmax + pad
     span = vmax - vmin
 
     def to_px(v):

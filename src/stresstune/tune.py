@@ -32,7 +32,10 @@ from .stitch import mds_map_p
 _POOL_MIN_NODES = 500
 
 # BLAS thread counts pinned to 1 in the workers: with one hop value per core,
-# multithreaded BLAS in each worker would oversubscribe the cores.
+# multithreaded BLAS in each worker would oversubscribe the cores. Results do
+# not depend on it; it is for speed. The README sweep (2-vCPU host, the
+# caller's BLAS on two threads, 5 runs each) took 4.6-5.8 s with the pin and
+# 6.0-7.3 s without it.
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -298,7 +301,8 @@ def sweep_hops(
     dict as ``embeddings`` to receive the per-h configurations.
 
     Graphs of at least 500 nodes sweep in spawned worker processes, one per
-    usable core and hop value, each with BLAS on one thread. Workers import
+    usable core and hop value, each with BLAS on one thread for speed (no
+    result depends on the BLAS thread count). Workers import
     the caller's main module, so a script must sweep under an
     ``if __name__ == "__main__":`` guard; without one the sweep raises
     :class:`StressTuneError`.

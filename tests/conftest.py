@@ -1,18 +1,26 @@
 import csv
 import io
 import os
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import strategies as hst
 
+import stresstune
 import stresstune.core as core_module
 from stresstune import Configuration, DissimilarityGraph
 
 # pyproject's filterwarnings rule covers this process only; the environment
 # carries it into sweep workers and CLI subprocesses.
 os.environ.setdefault("PYTHONWARNINGS", "error::RuntimeWarning")
+
+
+def child_env(**overrides: str) -> dict:
+    """This process's environment, with ``overrides``, for a Python subprocess that imports this package."""
+    src = str(Path(stresstune.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]), **overrides)
 
 
 @pytest.fixture

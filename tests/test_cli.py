@@ -1,35 +1,56 @@
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import math
-import os
+import re
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 import oracles
+import stresstune.core as core_module
+from conftest import child_env
 from stresstune import (
     EARTH_RADIUS_KM,
+    Configuration,
     DissimilarityGraph,
     aligned_error,
+    apply_multiplicative_noise,
     generate_shape,
     knn_graph,
     read_configuration_csv,
     read_edge_csv,
+    write_configuration_csv,
     write_edge_csv,
 )
-from stresstune.data import DomainShape
+from stresstune.data import DEFAULT_SIGMA, DomainShape
 from stresstune.cli import build_parser, main
 
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def hollow80(scale: float = 1.0) -> DissimilarityGraph:
+    """The graph of ``generate --shape hollow --n 80 --k 8 --seed 0``, its weights times ``scale``."""
+    truth = generate_shape(DomainShape.named("hollow_rectangle"), 80, seed=0)
+    g = apply_multiplicative_noise(knn_graph(truth, 8), DEFAULT_SIGMA, seed=1)
+    return DissimilarityGraph(g.n, (g.ei, g.ej, g.weights * scale))
+
+
+# The one message of a classical scaling whose squared dissimilarities overflow.
+SQUARES_OVERFLOW = (r"the squared dissimilarities overflow float64 "
+                    r"\(largest dissimilarity [0-9.]+e\+[0-9]+\); rescale the graph")
 
 
 def write_cities(path, rows):
@@ -150,12 +171,10 @@ class TestSweep:
         # cores), whose overflow must end the run as an error, not a warning.
         g = knn_graph(generate_shape(DomainShape.named("rectangle"), 700, seed=0), 15)
         write_edge_csv(DissimilarityGraph(g.n, (g.ei, g.ej, g.weights * 1e100)), tmp_path / "g.csv")
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         proc = subprocess.run(
             [sys.executable, "-m", "stresstune.cli", "sweep", "--graph", str(tmp_path / "g.csv"),
              "--hops", "1,2,3", "--no-patch-refine", "--no-final-refine", "--out", str(tmp_path / "o")],
-            capture_output=True, text=True, timeout=120, env=env,
+            capture_output=True, text=True, timeout=120, env=child_env(),
         )
         assert proc.returncode == 1
         assert proc.stderr.startswith("stresstune: error: the stress overflows float64")
@@ -202,6 +221,27 @@ class TestSweep:
         assert err.startswith("stresstune: error: every swept hop value failed: [1, 2, 3]; h=1: ")
         assert "; h=2: placed overlap of patch at node " in err
         assert "; h=3: eigendecomposition failed: ARPACK error -9" in err
+
+    @pytest.mark.parametrize("scale, hops, flags", [
+        (1e5, "3", []),  # a stress near 1.6e19
+        (1.0, "100000000000000000000", ["--no-final-refine"]),
+    ])
+    def test_flat_chart_beyond_2_to_53_is_written(self, tmp_path, scale, hops, flags):
+        # One hop value: both axes are flat, at values that lose a pad of 0.5.
+        write_edge_csv(hollow80(scale), tmp_path / "g.csv")
+        assert run(["sweep", "--graph", tmp_path / "g.csv", "--hops", hops, *flags,
+                    "--out", tmp_path / "o"]) == 0
+        assert (tmp_path / "o" / "sweep.svg").read_text().startswith("<svg")
+
+    @pytest.mark.parametrize("scale", [1e200, 1e300])
+    def test_overflowing_squares_name_each_hop_value(self, tmp_path, capsys, scale):
+        write_edge_csv(hollow80(scale), tmp_path / "g.csv")
+        assert run(["sweep", "--graph", tmp_path / "g.csv", "--hops", "1,2,3",
+                    "--out", tmp_path / "o"]) == 1
+        err = capsys.readouterr().err
+        causes = rf"(; h=[0-9, ]+: {SQUARES_OVERFLOW})+"
+        assert re.fullmatch(rf"stresstune: error: every swept hop value failed: \[1, 2, 3\]{causes}\n", err), err
+        assert all(re.search(rf"h=[0-9, ]*{h}[0-9, ]*: ", err) for h in (1, 2, 3))
 
     def test_bad_hop_list_exits_2(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -344,12 +384,10 @@ class TestEmbedAndAlign:
         # set per node would grow until memory ran out.
         graph = tmp_path / "big.csv"
         graph.write_text("i,j,d\n0,1,1.0\n0,9223372036854775806,1.0\n")
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         proc = subprocess.run(
             [sys.executable, "-m", "stresstune.cli", "embed", "--method", "seqtrilat",
              "--graph", str(graph), "--out", str(tmp_path / "o")],
-            capture_output=True, text=True, timeout=60, env=env,
+            capture_output=True, text=True, timeout=60, env=child_env(),
         )
         assert proc.returncode == 1
         assert proc.stderr.startswith("stresstune: error:")
@@ -374,6 +412,16 @@ class TestEmbedAndAlign:
         assert run(["embed", "--method", "mdsd", "--graph", zero, "--out", tmp_path / "o"]) == 1
         last = capsys.readouterr().err.splitlines()[-1]
         assert last.startswith("stresstune: error: eigendecomposition failed: ARPACK error -9")
+
+    @pytest.mark.parametrize("scale", [1e200, 1e300])
+    @pytest.mark.parametrize("method", [["mdsd"], ["mdsmapp", "--hops", "3"], ["seqtrilat"]])
+    def test_overflowing_squares_exit_1_with_one_message(self, tmp_path, capsys, scale, method):
+        # A RuntimeWarning fails the test, so the message is all the run prints.
+        write_edge_csv(hollow80(scale), tmp_path / "g.csv")
+        assert run(["embed", "--method", *method, "--graph", tmp_path / "g.csv",
+                    "--out", tmp_path / "o"]) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(rf"stresstune: error: {SQUARES_OVERFLOW}\n", err), err
 
     def test_isomap_local_requires_points(self, tmp_path, rng):
         self.make_instance(tmp_path, rng)
@@ -559,3 +607,91 @@ class TestCities:
         code = run(["cities", "--csv", tmp_path / "bad.csv", "--out", tmp_path / "o"])
         assert code == 1
         assert "lat" in capsys.readouterr().err
+
+
+@hst.composite
+def extreme_inputs(draw):
+    """A graph of 2-40 nodes and as many points in R^3, both at one binary scale 2**e.
+
+    The graph is a random spanning tree plus up to n chords; one time in ten a
+    tree edge is dropped first, which may disconnect it. Its weights are
+    ``np.ldexp(u, e)`` with u in [0.5, 1) and e in [-1074, 1023]; one time in
+    five all of them are zero, and one time in five about a third.
+    """
+    n = draw(hst.integers(2, 40))
+    e = draw(hst.integers(-1074, 1023))
+    zeros = draw(hst.integers(0, 4))
+    drop = draw(hst.integers(0, 9)) == 0
+    r = np.random.default_rng(draw(hst.integers(0, 2**32 - 1)))
+    tree = [(int(r.integers(v)), v) for v in range(1, n)]
+    if drop:
+        del tree[r.integers(len(tree))]
+    chords = [(min(a, b), max(a, b)) for a, b in r.integers(0, n, size=(n, 2)).tolist() if a != b]
+    pairs = sorted({*tree, *chords})
+    ei = np.array([a for a, _ in pairs], dtype=np.int64)
+    ej = np.array([b for _, b in pairs], dtype=np.int64)
+    w = np.ldexp(r.uniform(0.5, 1.0, ei.size), e)
+    if zeros == 0:
+        w[:] = 0.0
+    elif zeros == 1:
+        w[r.uniform(size=w.size) < 1 / 3] = 0.0
+    return DissimilarityGraph(n, (ei, ej, w)), Configuration(np.ldexp(r.uniform(-1.0, 1.0, (n, 3)), e))
+
+
+def repro(scale, command, hops, refine=True):
+    """Arguments of the property below for one run on ``hollow80(scale)`` with p=2 and dense eigh."""
+    return {"inputs": (hollow80(scale), None), "command": command, "p": 2, "hops": hops,
+            "refine": refine, "lanczos": False}
+
+
+class TestNeverATraceback:
+    """Every command on small, extreme inputs ends with exit code 0 or 1, never a traceback.
+
+    A RuntimeWarning fails the property too (the suite turns it into an error).
+    """
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        inputs=extreme_inputs(),
+        command=hst.sampled_from(["cs", "mdsd", "mdsmapp", "seqtrilat", "isomap-local", "sweep"]),
+        p=hst.integers(1, 3),
+        hops=hst.lists(hst.integers(1, 3), min_size=1, max_size=3, unique=True),
+        refine=hst.booleans(),
+        lanczos=hst.booleans(),
+    )
+    # A flat stress chart near 1.6e19, and a flat hop axis at 1e20.
+    @example(**repro(1e5, "sweep", [3]))
+    @example(**repro(1.0, "sweep", [10**20], refine=False))
+    # Squared dissimilarities beyond float64, on every path to classical scaling.
+    @example(**repro(1e200, "mdsd", [1]))
+    @example(**repro(1e200, "mdsmapp", [3]))
+    @example(**repro(1e200, "seqtrilat", [1]))
+    @example(**repro(1e200, "sweep", [1, 2, 3]))
+    @example(**repro(1e300, "mdsd", [1]))
+    @example(**repro(1e300, "mdsmapp", [3]))
+    @example(**repro(1e300, "seqtrilat", [1]))
+    @example(**repro(1e300, "sweep", [1, 2, 3]))
+    # A stress that underflows.
+    @example(**repro(1e-100, "sweep", [1, 2, 3], refine=False))
+    def test_exits_0_or_1_with_an_error_line(self, inputs, command, p, hops, refine, lanczos):
+        g, points = inputs
+        # Down to order 4, Lanczos runs on the patches of these small graphs.
+        order = 4 if lanczos else core_module._DENSE_EIGH_MAX_ORDER
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(core_module, "_DENSE_EIGH_MAX_ORDER", order), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            graph, cloud = Path(tmp) / "g.csv", Path(tmp) / "points.csv"
+            write_edge_csv(g, graph)
+            if points is not None:
+                write_configuration_csv(points, cloud)
+            flags = [] if refine else ["--no-patch-refine", "--no-final-refine"]
+            if command == "sweep":
+                argv = ["sweep", "--graph", graph, "--hops", ",".join(map(str, hops))]
+            elif command == "isomap-local":
+                argv = ["embed", "--method", command, "--points", cloud, "--hops", hops[0]]
+            else:
+                argv = ["embed", "--method", command, "--graph", graph, "--hops", hops[0]]
+            code = run([*argv, *flags, "--p", p, "--out", Path(tmp) / "o"])
+        assert code in (0, 1)
+        if code == 1:
+            assert err.getvalue().splitlines()[-1].startswith("stresstune: error:"), err.getvalue()

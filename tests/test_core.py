@@ -3,6 +3,8 @@ import functools
 import os
 import pickle
 import pkgutil
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import fields, is_dataclass
 from importlib import import_module
@@ -53,8 +55,8 @@ from stresstune.core import (
 )
 from stresstune.data import DomainShape
 from stresstune.embed import _classical_scaling_array
-from stresstune.tune import _edge_sq_dists
-from conftest import agrees_with_old_reader, block_budget, malformed_csv
+from stresstune.tune import _BLAS_THREAD_VARS, _edge_sq_dists
+from conftest import agrees_with_old_reader, block_budget, child_env, malformed_csv
 
 
 class TestConfiguration:
@@ -482,6 +484,23 @@ class TestEigenpairDispatch:
         second = _top_eigenpairs_array(B, 2)
         np.testing.assert_array_equal(first[0], second[0])
         np.testing.assert_array_equal(first[1], second[1])
+
+    def test_blocked_matvec_equals_one_thread_product(self):
+        # In a subprocess on one BLAS thread, where B @ x gives the reference
+        # bits; B is built elementwise, so the input does not depend on BLAS.
+        script = (
+            "import numpy as np\n"
+            "from stresstune.core import _blocked_matvec\n"
+            "r = np.random.default_rng(0)\n"
+            "for k in (81, 700, 1500):\n"
+            "    m = r.standard_normal((k, k))\n"
+            "    B, x = m + m.T, r.standard_normal(k)\n"
+            "    assert _blocked_matvec(B, x, np.empty(k)).tobytes() == (B @ x).tobytes(), k\n"
+        )
+        blas = {var: "1" for var in _BLAS_THREAD_VARS}
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              timeout=120, env=child_env(**blas))
+        assert proc.returncode == 0, proc.stderr
 
     def test_lanczos_no_convergence_is_eigensolver_error(self, monkeypatch):
         def stalled(*args, **kwargs):

@@ -23,7 +23,8 @@ from stresstune import (
     trilaterate,
 )
 from conftest import rotation
-from stresstune.embed import SMACOF_TOL, _smacof
+import stresstune.embed as embed_module
+from stresstune.embed import _smacof
 
 
 def complete_graph(points: np.ndarray) -> DissimilarityGraph:
@@ -149,23 +150,26 @@ class TestSmacofRefine:
         after = oracles.unsquared_stress(out.points, g.ei, g.ej, g.weights)
         assert after < before
 
-    def test_single_step_matches_hand_computation(self):
+    def test_single_step_matches_hand_computation(self, monkeypatch):
         # Path 0-1-2 with unit target distances from Y0 = (0, 0.5, 2) on a
         # line. Hand Guttman update: dist = (0.5, 1.5), ratios (2, 2/3);
         # B rows sum against Y0 give B@Y0 = (-1, 0, 1) and the solve against
         # the path Laplacian yields the centered optimum (-1, 0, 1) exactly.
         g = DissimilarityGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
         y0 = np.array([[0.0, 0.0], [0.5, 0.0], [2.0, 0.0]])
-        out, history = _smacof(3, g.ei, g.ej, g.weights, y0, 1, SMACOF_TOL)
+        monkeypatch.setattr(embed_module, "SMACOF_MAX_ITER", 1)
+        out, history = _smacof(3, g.ei, g.ej, g.weights, y0)
         np.testing.assert_allclose(out[:, 0], [-1.0, 0.0, 1.0], atol=1e-12)
         np.testing.assert_allclose(out[:, 1], 0.0, atol=1e-12)
         assert history[-1] == pytest.approx(0.0, abs=1e-24)
 
-    def test_single_step_matches_pinv_oracle(self, rng):
+    def test_single_step_matches_pinv_oracle(self, rng, monkeypatch):
         pts = rng.uniform(size=(9, 2))
         g = complete_graph(pts)
         y0 = rng.standard_normal((9, 2))
-        out, _ = _smacof(9, g.ei, g.ej, g.weights, y0, 1, 0.0)
+        monkeypatch.setattr(embed_module, "SMACOF_MAX_ITER", 1)
+        monkeypatch.setattr(embed_module, "SMACOF_TOL", 0.0)
+        out, _ = _smacof(9, g.ei, g.ej, g.weights, y0)
         want = oracles.guttman_step_full(y0, g.ei, g.ej, g.weights)
         # The update is translation-free only up to centering; compare after
         # removing the mean from both.
@@ -191,12 +195,13 @@ class TestSmacofRefine:
             for a, b in zip(history, history[1:]):
                 assert b <= a * (1 + 1e-12)
 
-    def test_zero_distance_guard(self):
+    def test_zero_distance_guard(self, monkeypatch):
         # Two coincident starting points with a positive target distance used
         # to be a divide-by-zero; the guard must leave the step finite.
         g = DissimilarityGraph(2, [(0, 1, 1.0)])
         y0 = np.zeros((2, 2))
-        out, _ = _smacof(2, g.ei, g.ej, g.weights, y0, 5, SMACOF_TOL)
+        monkeypatch.setattr(embed_module, "SMACOF_MAX_ITER", 5)
+        out, _ = _smacof(2, g.ei, g.ej, g.weights, y0)
         assert np.isfinite(out).all()
 
     def test_coverage_mismatch(self, rng):
@@ -226,7 +231,7 @@ class TestSparseSmacofAgainstDenseOracle:
             d[0] = 0.0  # a zero-weight edge
             y0 = r.standard_normal((n, 2))
             y0[ej[1]] = y0[ei[1]]  # coincident endpoints: the distance-floor branch
-            got, hist = _smacof(n, ei, ej, d, y0, 300, 1e-6)
+            got, hist = _smacof(n, ei, ej, d, y0)
             want, want_hist = oracles.smacof_dense_cholesky(n, ei, ej, d, y0, 300, 1e-6)
             assert len(hist) == len(want_hist) > 1
             np.testing.assert_allclose(hist, want_hist, rtol=1e-9, atol=1e-12 * hist[0])
@@ -243,16 +248,17 @@ class TestSparseSmacofAgainstDenseOracle:
             n = int(r.integers(3, 5))
             ei, ej, d = random_connected_edges(r, n)
             y0 = r.standard_normal((n, 2))
-            got, hist = _smacof(n, ei, ej, d, y0, 300, 1e-6)
+            got, hist = _smacof(n, ei, ej, d, y0)
             want, want_hist = oracles.smacof_dense_cholesky(n, ei, ej, d, y0, 300, 1e-6)
             assert hist[-1] == pytest.approx(want_hist[-1], rel=1e-6, abs=1e-12 * hist[0])
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
 
-    def test_all_points_coincident(self):
+    def test_all_points_coincident(self, monkeypatch):
         # Every distance is under the floor: the first step maps to the origin.
         ei, ej, d = random_connected_edges(np.random.default_rng(1), 6)
         y0 = np.ones((6, 2))
-        got, hist = _smacof(6, ei, ej, d, y0, 5, 1e-6)
+        monkeypatch.setattr(embed_module, "SMACOF_MAX_ITER", 5)
+        got, hist = _smacof(6, ei, ej, d, y0)
         want, want_hist = oracles.smacof_dense_cholesky(6, ei, ej, d, y0, 5, 1e-6)
         assert len(hist) == len(want_hist)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)

@@ -18,6 +18,7 @@ from stresstune import (
     DenseSymmetricMatrix,
     DisconnectedGraphError,
     DissimilarityGraph,
+    StressTuneError,
     all_pairs_shortest_paths,
     connected_components,
     find_trilaterative_ordering,
@@ -275,6 +276,13 @@ class TestMinConnectivityRadius:
         g_below = radius_graph(cfg, 0.999 * r)
         comps = connected_components(g_below) if g_below.edge_count else []
         assert g_below.edge_count == 0 or len(comps) > 1
+
+    def test_squares_beyond_float64_raise(self):
+        # Squares of about 1e400: a RuntimeWarning would fail the test.
+        cfg = Configuration(np.array([[0.0, 0.0], [1e200, 0.0], [0.0, 2e200]]))
+        with pytest.raises(StressTuneError, match=r"squared distances between points overflow float64 "
+                                                  r"\(largest coordinate 2e\+200\); rescale the points"):
+            min_connectivity_radius(cfg)
 
 
 class TestHopNeighborhood:

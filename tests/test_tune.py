@@ -18,9 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import oracles
-import stresstune
 import stresstune.core as core_module
-from conftest import rotation
+from conftest import child_env, rotation
 from stresstune import (
     Configuration,
     DisconnectedGraphError,
@@ -372,6 +371,15 @@ class TestArtifactBytes:
         assert digests == self.DIGESTS
 
 
+class TestFlatChart:
+    @pytest.mark.parametrize("value", [1e16, 1e300, 10**20])
+    def test_flat_series_sit_mid_axis(self, value):
+        # From about 2**53 on, value - 0.5 and value + 0.5 round to one float.
+        svg = sweep_chart([value], [value], errors=[value])
+        assert svg.count('<circle cx="320" cy="202.5" r="3"') == 2
+        assert "nan" not in svg and "inf" not in svg
+
+
 class TestSweepHops:
     def test_complete_graph_ties_break_to_smallest_h(self, rng):
         # Every node is one hop from every other, so h=1 and h=2 run the same
@@ -541,10 +549,8 @@ class TestSweepHops:
             "g = DissimilarityGraph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])\n"
             "tune._sweep_in_processes([1, 3], 2, (g, 2, None, True, True))\n"
         )
-        src = str(Path(stresstune.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
-                              timeout=120, env=env, cwd=tmp_path)
+                              timeout=120, env=child_env(), cwd=tmp_path)
         assert proc.returncode != 0
         lines = proc.stderr.strip().splitlines()
         # When the pool breaks, the resource tracker may warn about semaphores
@@ -577,9 +583,6 @@ class TestSweepHops:
             "    g = knn_graph(Configuration(np.random.default_rng(0).uniform(size=(800, 2))), 10)\n"
             "    tune._sweep_in_processes([2, 3, 4, 5, 6], 2, (g, 2, None, True, True))\n"
         )
-        src = str(Path(stresstune.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
-                   OPENBLAS_NUM_THREADS="1")
 
         def spawned_workers(pid):
             found = []
@@ -598,7 +601,7 @@ class TestSweepHops:
             except FileNotFoundError:
                 return False
 
-        proc = subprocess.Popen([sys.executable, str(script)], env=env, cwd=tmp_path)
+        proc = subprocess.Popen([sys.executable, str(script)], env=child_env(OPENBLAS_NUM_THREADS="1"), cwd=tmp_path)
         workers = []
         try:
             deadline = time.monotonic() + 120
@@ -622,16 +625,16 @@ class TestSweepHops:
                     os.kill(pid, signal.SIGKILL)
 
     def test_pooled_sweep_ignores_the_callers_blas_threads(self, tmp_path):
-        # numpy's matrix-vector product, which Lanczos repeats on every patch
-        # above order 80, rounds differently on one and two OpenBLAS threads
-        # from about order 680 on (OpenBLAS 0.3.31). At h=60 the 700-node graph
-        # is one patch, so a sweep inline on two threads differs in its last
-        # bits; workers pin BLAS to one thread whatever the parent runs.
+        # At h=60 the 700-node graph is one Lanczos patch, of an order at which
+        # a whole-matrix B @ x rounds differently on one and two OpenBLAS
+        # (0.3.31) threads. The Lanczos product runs in fixed row blocks, so a
+        # pooled sweep (workers on one thread), an inline sweep on either
+        # thread count and mds_d all give the same bytes.
         script = tmp_path / "blas_sweep.py"
         script.write_text(
             "import hashlib, sys\n"
             "import numpy as np\n"
-            "from stresstune import Configuration, knn_graph, tune\n"
+            "from stresstune import Configuration, knn_graph, mds_d, tune\n"
             'if __name__ == "__main__":\n'
             "    g = knn_graph(Configuration(np.random.default_rng(3).uniform(size=(700, 2))), 8)\n"
             "    args, hs = (g, 2, None, False, False), [3, 60]\n"
@@ -642,18 +645,20 @@ class TestSweepHops:
             "    for h in hs:\n"
             "        row, config, _ = out[h]\n"
             "        print(h, repr(row.stress), hashlib.sha256(config.points.tobytes()).hexdigest())\n"
+            "    print('mds_d', hashlib.sha256(mds_d(g, 2).points.tobytes()).hexdigest())\n"
         )
-        src = str(Path(stresstune.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
 
         def run(mode, threads):
-            blas = {var: threads for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+            blas = {var: threads for var in tune._BLAS_THREAD_VARS}
             proc = subprocess.run([sys.executable, str(script), mode], capture_output=True,
-                                  text=True, timeout=300, env={**env, **blas}, cwd=tmp_path)
+                                  text=True, timeout=300, env=child_env(**blas), cwd=tmp_path)
             assert proc.returncode == 0, proc.stderr
             return proc.stdout
 
-        assert run("pool", "2") == run("inline", "1")
+        # No more BLAS threads than usable cores.
+        threads = ["1", "2"] if tune._usable_cores() > 1 else ["1"]
+        outputs = {run("pool", threads[-1])} | {run("inline", t) for t in threads}
+        assert len(outputs) == 1, outputs
 
     def test_auto_workers_need_cores_hop_values_and_nodes(self, rng, monkeypatch):
         from stresstune import knn_graph, tune
