@@ -149,6 +149,13 @@ def _union_knn_pairs(nearest: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarra
     return key // n, key % n
 
 
+def _overflow_error(X: np.ndarray) -> StressTuneError:
+    return StressTuneError(
+        f"the squared distances between points overflow float64 (largest coordinate "
+        f"{np.abs(X).max():g}); rescale the points"
+    )
+
+
 def _check_k(n: int, k: int) -> None:
     """Refuse a neighbour count ``k`` that ``n`` points cannot supply."""
     if k < 1:
@@ -161,12 +168,15 @@ def knn_graph(config: Configuration, k: int) -> DissimilarityGraph:
     """Symmetrized k-nearest-neighbor graph with Euclidean edge weights.
 
     An edge is kept when either endpoint lists the other among its k nearest
-    (union symmetrization), so every node ends with degree >= k.
+    (union symmetrization), so every node ends with degree >= k. Points whose
+    squared distances overflow float64 raise ``StressTuneError``.
     """
     n = config.n
     _check_k(n, k)
     X = config.points
-    _, idx = cKDTree(X).query(X, k=k + 1)
+    dist, idx = cKDTree(X).query(X, k=k + 1)
+    if not np.isfinite(dist).all():  # the tree then reports the missing neighbour n
+        raise _overflow_error(X)
     ei, ej = _union_knn_pairs(np.atleast_2d(idx).astype(np.int64), k)
     w = np.linalg.norm(X[ei] - X[ej], axis=1)
     return DissimilarityGraph(n, (ei, ej, w))
@@ -219,10 +229,7 @@ def min_connectivity_radius(config: Configuration) -> float:
                 in_tree[v] = True
                 best = np.minimum(best, np.linalg.norm(X - X[v], axis=1))
     except FloatingPointError as exc:
-        raise StressTuneError(
-            f"the squared distances between points overflow float64 (largest coordinate "
-            f"{np.abs(X).max():g}); rescale the points"
-        ) from exc
+        raise _overflow_error(X) from exc
     return bottleneck
 
 
@@ -245,8 +252,9 @@ def hop_balls(g: DissimilarityGraph, h: int) -> csr_matrix:
     for rows in _row_blocks(n):
         # Every edge is stored in both directions, so a directed search sees
         # the undirected graph without scipy transposing it for each block.
+        # A radius of n reaches as far as any larger one, and stays in float range.
         reach = _csgraph_dijkstra(
-            adj, directed=True, unweighted=True, limit=h, indices=np.arange(rows.start, rows.stop)
+            adj, directed=True, unweighted=True, limit=min(h, n), indices=np.arange(rows.start, rows.stop)
         )
         block_rows, block_cols = np.nonzero(np.isfinite(reach))
         counts[rows] = np.bincount(block_rows, minlength=reach.shape[0])
@@ -335,16 +343,109 @@ def _dijkstra_csr(adj: csr_matrix) -> np.ndarray:
     return _symmetrize_in_place(_csgraph_dijkstra(adj, directed=True), np.minimum)
 
 
-def shortest_paths_csr(sub: csr_matrix) -> np.ndarray:
+def _shortest_path_rows(g: DissimilarityGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Unsymmetrized per-source Dijkstra rows of the whole graph and scipy's predecessors.
+
+    ``12 n^2`` bytes: float64 distances and int32 predecessors, ``-9999`` at
+    each source itself.
+    """
+    return _csgraph_dijkstra(g._adj_csr(), directed=True, return_predecessors=True)
+
+
+def _complete_from_rows(sub: csr_matrix, members: np.ndarray, dist: np.ndarray, pred: np.ndarray) -> np.ndarray:
+    """``_dijkstra_csr(sub)`` of the patch ``members`` (ascending), bit for bit, from the whole graph's rows.
+
+    Rounded addition of a nonnegative weight is monotone and isotone, so
+    Dijkstra returns, to the last bit, the least left-to-right rounded sum
+    over all paths (Sobrinho, IEEE/ACM Trans. Networking 2002). A whole-graph
+    value whose predecessor chain stays inside the patch is reached by a
+    patch path, and no patch path is shorter, so it is the patch's value.
+    The other targets of a source, those whose chain leaves the patch (the
+    *escaped* ones, descendants in the in-patch forest of a target whose
+    predecessor lies outside), are recomputed by one Dijkstra over a block
+    graph: a copy of each escaped (source, target) pair, copies of one
+    source linked by the patch's edges, and a virtual node per source that
+    seeds each copy ``x`` with the least ``dist[s, c] + w(c, x)`` over its
+    non-escaped patch neighbours ``c``. A patch path to ``x`` split at its
+    last non-escaped node shows that the seeded least value is the patch's.
+    ``dist`` and ``pred`` are :func:`_shortest_path_rows`.
+    """
+    # Index arrays are int32 (as scipy's predecessors): m * m stays below
+    # 2**31 for any n whose 12 n^2 bytes of rows fit in memory.
+    n, m = dist.shape[0], members.size
+    block = np.ix_(members, members)
+    D, P = dist[block], pred[block]
+    P[P < 0] = n  # the source itself, or a target it cannot reach
+    local = np.full(n + 1, -1, dtype=np.int32)
+    local[members] = np.arange(m)
+    parent = local[P]  # local index of each target's predecessor, -1 outside the patch
+    # Each m x m index array goes once used: the largest patch sets a stitch's peak memory.
+    del P
+    np.fill_diagonal(parent, np.arange(m))  # each source is the root of its own tree
+    dirty = np.flatnonzero((parent < 0).any(axis=1))
+    k = dirty.size
+    if k:
+        # Pointer doubling over every dirty row's in-patch forest at once, in
+        # one flat array: a target whose predecessor lies outside points to the
+        # sentinel k * m, each source to itself, so a target escaped iff its
+        # root is the sentinel.
+        root = parent[dirty]
+        del parent
+        outside = root < 0
+        root += (np.arange(k, dtype=np.int32) * m)[:, None]
+        root[outside] = k * m
+        root = np.append(root, np.int32(k * m))
+        while True:
+            up = root[root]
+            if np.array_equal(up, root):
+                break
+            root = up
+        escaped = (root[:-1] == k * m).reshape(k, m)
+        del root, up, outside
+        # One copy per escaped pair, numbered in row-major order of ``escaped``.
+        copy = np.flatnonzero(escaped)
+        source, target = np.divmod(copy, m)  # source is a row of ``dirty``
+        copies = copy.size
+        pos, degree = _row_positions(sub.indptr, target)
+        owner = np.repeat(np.arange(copies), degree)
+        nbr, w = sub.indices[pos], sub.data[pos]
+        linked = escaped[source[owner], nbr]
+        # A copy's seed: its least sum over non-escaped neighbours, whose values are exact.
+        reach = np.where(linked, np.inf, D[dirty[source[owner]], nbr] + w)
+        seed = np.minimum.reduceat(reach, np.cumsum(degree) - degree)
+        seeded = np.flatnonzero(np.isfinite(seed))
+        counts = np.concatenate(
+            [np.bincount(owner[linked], minlength=copies), np.bincount(source[seeded], minlength=k)]
+        )
+        copy_graph = csr_matrix(
+            (
+                np.concatenate([w[linked], seed[seeded]]),
+                np.concatenate([np.searchsorted(copy, source[owner[linked]] * m + nbr[linked]), seeded]),
+                np.concatenate([[0], np.cumsum(counts)]),
+            ),
+            shape=(copies + k, copies + k),
+        )
+        # The virtual nodes follow the copies; those of one source are reachable only from its own.
+        found = _csgraph_dijkstra(copy_graph, directed=True, indices=copies + np.arange(k), min_only=True)
+        D[dirty[source], target] = found[:copies]
+    return _symmetrize_in_place(D, np.minimum)
+
+
+def shortest_paths_csr(sub: csr_matrix, rows: tuple | None = None, members: np.ndarray | None = None) -> np.ndarray:
     """All-pairs shortest paths of a symmetric CSR adjacency, the solver picked by order.
 
     Up to ``_FLOYD_WARSHALL_MAX_ORDER`` nodes scipy's Floyd-Warshall, whose
     output is exactly symmetric; above it per-source Dijkstra. Both treat a
     stored zero as an edge and mark unreachable pairs ``+inf``; on additively
-    exact weights (e.g. integers) they agree bit for bit.
+    exact weights (e.g. integers) they agree bit for bit. Given the whole
+    graph's ``rows`` (:func:`_shortest_path_rows`) and the ascending
+    ``members`` that induce ``sub``, a patch above that order is completed
+    from the rows instead (:func:`_complete_from_rows`), with Dijkstra's bits.
     """
     if sub.shape[0] <= _FLOYD_WARSHALL_MAX_ORDER:
         return _csgraph_floyd_warshall(sub, directed=False)
+    if rows is not None:
+        return _complete_from_rows(sub, members, *rows)
     return _dijkstra_csr(sub)
 
 

@@ -3,9 +3,10 @@ stitch them into one global configuration by rigid alignment on their overlaps.
 
 Stitching runs in three phases: a merge plan computed from hop-ball
 memberships alone, the only record of which nodes are placed
-(:func:`_merge_plan`); one embedding per patch that adds nodes, a function of
-the graph and the members only (:func:`_embed_members`); and Procrustes
-placement into coordinates updated in place (:func:`merge`). The largest
+(:func:`_merge_plan`), run to completion first; one embedding per patch that
+adds nodes, a function of the graph and the members only
+(:func:`_embed_members`); and Procrustes placement into coordinates updated
+in place (:func:`merge`). The largest
 ball seeds the map; nodes keep the coordinates of their first placement. All
 ties break toward the lowest center index, which makes runs on identical
 inputs bit-identical.
@@ -18,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse import csr_matrix
 
+from . import graph as _graph
 from .align import _procrustes
 from .core import (
     Configuration,
@@ -30,10 +32,16 @@ from .graph import (
     DissimilarityGraph,
     _check_embeddable,
     _row_positions,
+    _shortest_path_rows,
     hop_balls,
     induced_subgraph_csr,
     shortest_paths_csr,
 )
+
+# Budget of the whole graph's shortest-path rows that a stitch may hold to
+# complete its large patches from (12 n^2 bytes): it admits n up to
+# 6,688 (5,222 nodes take 327 MB) and refuses n = 20,000 (4.8 GB).
+_SHARED_ROWS_MAX_BYTES = 512 * 2**20
 
 
 class PatchError(StressTuneError):
@@ -61,19 +69,21 @@ class GlobalMap(_Value):
 
 
 def _embed_members(
-    g: DissimilarityGraph, members: np.ndarray, p: int, refine: bool = True
+    g: DissimilarityGraph, members: np.ndarray, p: int, refine: bool = True, rows: tuple | None = None
 ) -> np.ndarray:
     """Local embedding of the patch ``members`` (ascending), one row per member.
 
     The patch's missing dissimilarities are completed with shortest paths
-    inside the induced subgraph, classical scaling embeds the completed
+    inside the induced subgraph (from the whole graph's shortest-path
+    ``rows`` when given, with the same bits), classical scaling embeds the completed
     matrix, and (optionally) stress majorization against the observed edges
     refines the result. A hop ball holds a shortest hop path from its center
     to each member, so its induced subgraph is connected and the completion
     finite; :func:`mds_map_p` refuses balls of fewer than ``p + 1`` nodes.
     """
     sub, (ei, ej, w) = induced_subgraph_csr(g, members)
-    Y = _classical_scaling_array(shortest_paths_csr(sub), p)
+    completion = shortest_paths_csr(sub) if rows is None else shortest_paths_csr(sub, rows, members)
+    Y = _classical_scaling_array(completion, p)
     if refine:
         Y, _ = _smacof(members.size, ei, ej, w, Y)
     return Y
@@ -113,8 +123,8 @@ def _merge_plan(balls: csr_matrix, p: int):
     of its members not yet placed, and the count of those placed. First the
     seed, the largest ball, with overlap 0; then, until every node is placed,
     the unmerged center whose ball holds the most placed nodes (ties toward
-    the lowest index), each merge placing its whole ball. Lazily, so an error
-    raised while placing a patch comes before any later planning error.
+    the lowest index), each merge placing its whole ball. Lazily: a planning
+    error is raised after the patches planned before it have been yielded.
     """
     n = balls.shape[0]
     placed = np.zeros(n, dtype=bool)
@@ -146,6 +156,26 @@ def _merge_plan(balls: csr_matrix, p: int):
             )
 
 
+def _shares_rows(g: DissimilarityGraph, plan: list) -> bool:
+    """Whether a stitch completes its patches from the whole graph's shortest-path rows.
+
+    When the rows fit ``_SHARED_ROWS_MAX_BYTES`` and the per-patch Dijkstra
+    work they replace, the sum of m times the members' degree sum over the
+    embedded patches above the Floyd-Warshall order and below n, exceeds the
+    work of the one whole-graph pass, n times twice the edge count.
+    """
+    n = g.n
+    if 12 * n * n > _SHARED_ROWS_MAX_BYTES:
+        return False
+    degrees = g.degrees()
+    work = sum(
+        members.size * int(degrees[members].sum())
+        for _, members, new, _ in plan
+        if _graph._FLOYD_WARSHALL_MAX_ORDER < members.size < n and new.any()
+    )
+    return work > n * 2 * g.edge_count
+
+
 def mds_map_p(
     g: DissimilarityGraph,
     h: int,
@@ -173,8 +203,12 @@ def mds_map_p(
     and both refinements factor a sparse grounded Laplacian, so memory is
     O(sum of ball sizes + edges) rather than O(n^2), plus two dense m x m
     arrays for the one patch being embedded (its completion and the
-    double-centred work array of classical scaling). The balls are released
-    before the final refinement.
+    double-centred work array of classical scaling). A stitch whose patches
+    above the Floyd-Warshall order would do more Dijkstra work than one pass
+    over the whole graph completes them from that pass's rows and
+    predecessors instead, with the same bits, when their 12 n^2 bytes fit
+    ``_SHARED_ROWS_MAX_BYTES`` (512 MiB); memory is then at most that much
+    more. The balls and the rows are released before the final refinement.
     """
     _check_embeddable(g, p, (h,))
     n = g.n
@@ -187,23 +221,34 @@ def mds_map_p(
             f"(centers {listed}{', ...' if too_small.size > 8 else ''})"
         )
 
+    # The whole plan first, so that the stitch knows its patches before it
+    # embeds any; a planning error waits for the patches planned before it.
+    plan, plan_error = [], None
+    try:
+        plan.extend(_merge_plan(balls, p))
+    except MergeError as exc:
+        plan_error = exc
+    rows = _shortest_path_rows(g) if _shares_rows(g, plan) else None
+
     coords = np.full((n, p), np.nan)
     log = []
-    for v, members, new, overlap in _merge_plan(balls, p):
+    for v, members, new, overlap in plan:
         if not new.any():
             # First placement wins, so the transform is moot: only the overlap,
             # here the whole ball, is checked.
             _check_overlap(coords, members, v)
         else:
-            local = _embed_members(g, members, p, refine_patches)
+            local = _embed_members(g, members, p, refine_patches, rows if members.size < n else None)
             if log:
                 merge(coords, members, new, local, v)
             else:  # the seed sets the frame of the global map
                 coords[members] = local
         log.append((v, overlap))
-    # The balls are O(sum of ball sizes); the final refinement needs only the
-    # graph. ``members`` is a view into them, so it goes too.
-    del balls, members
+    if plan_error is not None:
+        raise plan_error
+    # The balls are O(sum of ball sizes) and the rows 12 n^2 bytes; the final
+    # refinement needs only the graph. The plan's members are views into the balls.
+    del balls, plan, members, rows
 
     result = Configuration(coords)
     if final_refine:

@@ -4,6 +4,8 @@ timestamps or library metadata, so identical inputs give identical bytes.
 
 from __future__ import annotations
 
+import sys
+
 _WIDTH, _HEIGHT = 640, 420
 _ML, _MR, _MT, _MB = 70, 70, 40, 55
 
@@ -17,9 +19,10 @@ def _scale(values, lo_px, hi_px):
     vmin, vmax = min(values), max(values)
     if vmax == vmin:
         # A flat series sits mid-axis: pad it by 0.5, or by a sixteenth of its
-        # magnitude where rounding loses 0.5 (from about 2**53 on).
+        # magnitude where rounding loses 0.5 (from about 2**53 on), keeping
+        # the padded bounds inside the float range.
         pad = 0.5 if vmin - 0.5 != vmin + 0.5 else abs(vmin) / 16
-        vmin, vmax = vmin - pad, vmax + pad
+        vmin, vmax = max(vmin - pad, -sys.float_info.max), min(vmax + pad, sys.float_info.max)
     span = vmax - vmin
 
     def to_px(v):

@@ -673,6 +673,9 @@ class TestNeverATraceback:
     @example(**repro(1e300, "sweep", [1, 2, 3]))
     # A stress that underflows.
     @example(**repro(1e-100, "sweep", [1, 2, 3], refine=False))
+    # A hop value beyond float range.
+    @example(**repro(1.0, "sweep", [1, 10**400]))
+    @example(**repro(1.0, "mdsmapp", [10**400]))
     def test_exits_0_or_1_with_an_error_line(self, inputs, command, p, hops, refine, lanczos):
         g, points = inputs
         # Down to order 4, Lanczos runs on the patches of these small graphs.

@@ -1,10 +1,11 @@
 import csv
+import re
 import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as hst
 
 import oracles
@@ -43,6 +44,7 @@ from stresstune.graph import (
     _check_embeddable,
     _dijkstra_csr,
     _row_positions,
+    _shortest_path_rows,
     induced_subgraph_csr,
     shortest_paths_csr,
 )
@@ -178,6 +180,14 @@ class TestKnnGraph:
         assert got == oracles.knn_union_edges(pts, 15)
         for i, j, w in edge_triples(g):
             assert w == pytest.approx(np.linalg.norm(pts[i] - pts[j]), rel=1e-12)
+
+    def test_squares_beyond_float64_raise(self):
+        # The tree then reports infinite distances and the missing neighbour n.
+        points = Configuration(np.random.default_rng(0).uniform(size=(20, 2)) * 1e200)
+        want = (f"the squared distances between points overflow float64 (largest coordinate "
+                f"{points.points.max():g}); rescale the points")
+        with pytest.raises(StressTuneError, match=f"^{re.escape(want)}$"):
+            knn_graph(points, 4)
 
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
@@ -457,6 +467,10 @@ class TestHopBalls:
         with pytest.raises(ValueError):
             hop_balls(DissimilarityGraph(2, [(0, 1, 1.0)]), 0)
 
+    def test_h_beyond_float_range_reaches_what_n_reaches(self):
+        g = DissimilarityGraph(5, [(0, 1, 1.0), (1, 2, 1.0), (3, 4, 1.0)])
+        assert (hop_balls(g, 10**400) != hop_balls(g, g.n)).nnz == 0
+
 
 class TestAllPairsShortestPaths:
     def test_two_hop_completion(self):
@@ -582,6 +596,76 @@ class TestShortestPathsDispatch:
         with mock.patch.object(graph_module, "_dijkstra_csr", side_effect=AssertionError):
             D = shortest_paths_csr(sub)
         np.testing.assert_array_equal(D, oracles.completion_dijkstra(sub))
+
+
+@hst.composite
+def weighted_graphs(draw):
+    """Connected graphs of 12-90 nodes: a k-NN graph of random points joined by a path in x order.
+
+    Weights are the Euclidean lengths, integers 1-3 (many tied paths) or
+    the lengths with a fifth of them 0, all scaled by 2**e for e in [-30, 30].
+    """
+    r = np.random.default_rng(draw(hst.integers(0, 2**32 - 1)))
+    n = draw(hst.integers(12, 90))
+    points = r.uniform(size=(n, 2))
+    knn = knn_graph(Configuration(points), draw(hst.integers(2, 6)))
+    order = np.argsort(points[:, 0])
+    i = np.concatenate([knn.ei, np.minimum(order[:-1], order[1:])])
+    j = np.concatenate([knn.ej, np.maximum(order[:-1], order[1:])])
+    key = np.unique(i * n + j)
+    i, j = key // n, key % n
+    kind = draw(hst.sampled_from(["length", "tied", "zeros"]))
+    if kind == "tied":
+        w = r.integers(1, 4, size=key.size).astype(np.float64)
+    else:
+        w = np.linalg.norm(points[i] - points[j], axis=1)
+        if kind == "zeros":
+            w[r.uniform(size=key.size) < 0.2] = 0.0
+    return DissimilarityGraph(n, (i, j, np.ldexp(w, draw(hst.integers(-30, 30)))))
+
+
+class TestCompleteFromRows:
+    """Patches completed from the whole graph's rows against per-patch Dijkstra, bit for bit."""
+
+    @staticmethod
+    def complete(g, h, rows):
+        """Each ball's completion from ``rows`` and by ``_dijkstra_csr``, and whether a path escaped it."""
+        balls = hop_balls(g, h)
+        # Order 0: every patch takes the Dijkstra side of the switch.
+        with mock.patch.object(graph_module, "_FLOYD_WARSHALL_MAX_ORDER", 0):
+            for v in range(g.n):
+                members = balls[v].indices.astype(np.int64)
+                sub, _ = induced_subgraph_csr(g, members)
+                pred = rows[1][np.ix_(members, members)]
+                escapes = ((pred >= 0) & ~np.isin(pred, members)).any()
+                yield shortest_paths_csr(sub, rows, members), _dijkstra_csr(sub), escapes
+
+    @settings(max_examples=150, deadline=None)
+    @given(g=weighted_graphs(), h=hst.integers(1, 4))
+    def test_matches_per_patch_dijkstra(self, g, h):
+        escapes = False
+        for got, want, escaped in self.complete(g, h, _shortest_path_rows(g)):
+            assert got.tobytes() == want.tobytes()
+            escapes |= escaped
+        event(f"a shortest path escapes a ball: {escapes}")
+
+    def test_escaping_paths_on_a_noisy_knn_graph(self):
+        # Multiplicative noise makes detours outside a ball common.
+        points = Configuration(np.random.default_rng(1).uniform(size=(300, 2)))
+        knn = knn_graph(points, 8)
+        w = knn.weights * np.random.default_rng(2).uniform(0.5, 1.5, size=knn.edge_count)
+        g = DissimilarityGraph(knn.n, (knn.ei, knn.ej, w))
+        escapes = 0
+        for got, want, escaped in self.complete(g, 3, _shortest_path_rows(g)):
+            assert got.tobytes() == want.tobytes()
+            escapes += escaped
+        assert escapes > 100
+
+    def test_rows_are_the_unsymmetrized_dijkstra_rows_in_twelve_bytes_a_pair(self):
+        g = patch_graph(0, 60, integer=False, split=False)
+        dist, pred = _shortest_path_rows(g)
+        assert dist.tobytes() == scipy_dijkstra(g._adj_csr(), directed=True).tobytes()
+        assert dist.nbytes + pred.nbytes == 12 * g.n**2
 
 
 def same_array(a: np.ndarray, b: np.ndarray) -> bool:

@@ -4,12 +4,14 @@ from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as hst
 
 import oracles
+import stresstune.graph as graph_module
 import stresstune.stitch as stitch_module
 from conftest import patch_graph, rotation, small_graphs
 from stresstune import (
     Configuration,
     DisconnectedGraphError,
     DissimilarityGraph,
+    EigenSolverError,
     GlobalMap,
     MergeError,
     PatchError,
@@ -272,6 +274,12 @@ class TestMdsMapP:
         else:
             assert np.abs(stitched.points - direct.points).max() <= 1e-14 * diameter(direct)
 
+    def test_hop_beyond_float_range_stitches_as_h_n(self):
+        _, g = knn_instance(60, 5, 0.1, seed=2)
+        far = mds_map_p(g, 10**400, 2, refine_patches=False, final_refine=False)
+        whole = mds_map_p(g, g.n, 2, refine_patches=False, final_refine=False)
+        assert far.points.tobytes() == whole.points.tobytes()
+
     def test_uncoverable_centers_error_lists_nodes(self):
         # Every 1-hop ball of an 8-cycle has 3 nodes; after the seed ball
         # {7, 0, 1} none holds p+1 = 3 placed nodes, so 2..6 stay unplaced.
@@ -297,6 +305,44 @@ class TestMdsMapP:
         assert stress(g, polished) <= stress(g, rough) * (1 + 1e-9)
 
 
+def counted_passes(monkeypatch) -> list:
+    """The whole-graph shortest-path passes of the stitches that follow, one entry each."""
+    passes, rows = [], stitch_module._shortest_path_rows
+
+    def counting(g):
+        passes.append(g.n)
+        return rows(g)
+
+    monkeypatch.setattr(stitch_module, "_shortest_path_rows", counting)
+    return passes
+
+
+class TestSharedRows:
+    """Stitches that complete their patches from the whole graph's shortest-path rows."""
+
+    @pytest.mark.parametrize("h", [5, 10])
+    def test_same_bytes_with_and_without_the_rows(self, h, monkeypatch):
+        _, g = knn_instance(1200, 15, 0.15, seed=0, shape="hollow_rectangle")
+        passes = counted_passes(monkeypatch)
+        stitched = {}
+        for budget in (0, 2**40):
+            monkeypatch.setattr(stitch_module, "_SHARED_ROWS_MAX_BYTES", budget)
+            stitched[budget] = mds_map_p(g, h, 2, refine_patches=False, final_refine=False)
+            assert len(passes) == (budget > 0)
+        assert stitched[0].points.tobytes() == stitched[2**40].points.tobytes()
+
+    def test_embedding_error_comes_before_a_planning_error(self, monkeypatch):
+        # After the seed {7, 0, 1} of an 8-cycle no 1-hop ball holds 3 placed
+        # nodes, so the plan fails; the seed's embedding failed before that.
+        def failing(D, p):
+            raise EigenSolverError("seed patch")
+
+        monkeypatch.setattr(stitch_module, "_classical_scaling_array", failing)
+        g = DissimilarityGraph(8, [(i, (i + 1) % 8, 1.0) for i in range(8)])
+        with pytest.raises(EigenSolverError, match="seed patch"):
+            mds_map_p(g, 1, 2)
+
+
 class TestTraceContract:
     # The stitch-namespace names the benchmark tracer wraps; stitch must look
     # each one up at call time for ``bench/run.py --trace 1`` to count it.
@@ -304,6 +350,17 @@ class TestTraceContract:
               "_smacof", "merge", "_check_overlap", "smacof_refine")
 
     def test_counted_calls_match_merge_log(self, monkeypatch):
+        self.check_counts(monkeypatch, 2)
+
+    def test_counts_hold_when_patches_complete_from_shared_rows(self, monkeypatch):
+        # With no Floyd-Warshall order every patch is Dijkstra-sized, and at
+        # h=3 the patches' Dijkstra work outweighs one whole-graph pass.
+        passes = counted_passes(monkeypatch)
+        monkeypatch.setattr(graph_module, "_FLOYD_WARSHALL_MAX_ORDER", 0)
+        self.check_counts(monkeypatch, 3)
+        assert len(passes) == 1
+
+    def check_counts(self, monkeypatch, h):
         # Mirrors the benchmark's check of traced counts against a replay of
         # the merge log: one embedding per merge plus the seed, and one
         # overlap check outside ``merge`` per patch that adds no node.
@@ -323,7 +380,7 @@ class TestTraceContract:
         for name in self.TRACED:
             monkeypatch.setattr(stitch_module, name, counted(name, getattr(stitch_module, name)))
         _, g = knn_instance(300, 8, 0.1, seed=3)
-        _, gm = mds_map_p(g, 2, 2, return_global_map=True)
+        _, gm = mds_map_p(g, h, 2, return_global_map=True)
         count = {name: sum(1 for called, _ in calls if called == name) for name in self.TRACED}
         merges = count["merge"]
         skipped = sum(1 for called, parent in calls if called == "_check_overlap" and parent != "merge")
@@ -334,7 +391,7 @@ class TestTraceContract:
         assert count["smacof_refine"] == 1
         assert len(gm.merge_log) == merges + skipped + 1
         # The replay: an entry after the seed merges when its ball adds a node.
-        balls, placed, adds = hop_balls(g, 2), np.zeros(g.n, dtype=bool), []
+        balls, placed, adds = hop_balls(g, h), np.zeros(g.n, dtype=bool), []
         for v, _ in gm.merge_log:
             adds.append(not placed[balls[v].indices].all())
             placed[balls[v].indices] = True

@@ -379,6 +379,12 @@ class TestFlatChart:
         assert svg.count('<circle cx="320" cy="202.5" r="3"') == 2
         assert "nan" not in svg and "inf" not in svg
 
+    def test_flat_series_near_the_float_maximum_keeps_finite_ticks(self):
+        # A sixteenth above 1.7e308 lies beyond float range.
+        svg = sweep_chart([1], [1.7e308])
+        labels = re.findall(r'font-size="11" font-family="sans-serif">([^<]*)</text>', svg)
+        assert len(labels) == 10 and all(np.isfinite(float(label)) for label in labels)
+
 
 class TestSweepHops:
     def test_complete_graph_ties_break_to_smallest_h(self, rng):
