@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Configuration, DegenerateGeometryError, RigidMap, _row_blocks, _Value
+from .core import Configuration, DegenerateGeometryError, RigidMap, _overflow_checked, _row_blocks, _Value
 
 
 def _procrustes(S: np.ndarray, T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -43,19 +43,27 @@ def aligned_error(estimate: Configuration, truth: Configuration) -> float:
     ground truth; reflections are allowed, so the metric is blind to the
     mirror ambiguity of distance-only reconstruction.
     """
-    fit = procrustes(truth, estimate)
-    resid = fit.apply(truth.points) - estimate.points
-    return float(np.einsum("ij,ij->", resid, resid))
+
+    def total():
+        fit = procrustes(truth, estimate)
+        resid = fit.apply(truth.points) - estimate.points
+        return np.einsum("ij,ij->", resid, resid)
+
+    return _overflow_checked(total, estimate, truth)
 
 
 def diameter(config: Configuration) -> float:
     """Largest pairwise Euclidean distance, computed exactly (O(n^2))."""
     X = config.points
-    best = 0.0
-    for rows in _row_blocks(X.shape[0]):
-        d = X[rows, None, :] - X[None, :, :]
-        best = max(best, float(np.einsum("ijk,ijk->ij", d, d).max(initial=0.0)))
-    return float(np.sqrt(best))
+
+    def largest_square():
+        best = 0.0
+        for rows in _row_blocks(X.shape[0]):
+            d = X[rows, None, :] - X[None, :, :]
+            best = max(best, float(np.einsum("ijk,ijk->ij", d, d).max(initial=0.0)))
+        return best
+
+    return float(np.sqrt(_overflow_checked(largest_square, config)))
 
 
 @dataclass(frozen=True)
@@ -72,7 +80,13 @@ def alignment_report(estimate: Configuration, truth: Configuration) -> Alignment
     diam = diameter(truth)
     if diam == 0.0:
         raise DegenerateGeometryError("truth configuration has zero diameter")
-    return AlignmentReport(error=err, normalized_rmse=float(np.sqrt(err / truth.n) / diam))
+    rmse = _overflow_checked(lambda: np.sqrt(err / truth.n) / diam, estimate, truth)
+    return AlignmentReport(error=err, normalized_rmse=rmse)
+
+
+def _rms_spread(config: Configuration) -> float:
+    X = config.points - config.points.mean(axis=0)
+    return np.sqrt((X**2).sum() / config.n)
 
 
 def scale_ratio(estimate: Configuration, truth: Configuration) -> float:
@@ -82,9 +96,7 @@ def scale_ratio(estimate: Configuration, truth: Configuration) -> float:
     """
     if estimate.n != truth.n:
         raise ValueError("configurations must have the same number of points")
-    Y = estimate.points - estimate.points.mean(axis=0)
-    X = truth.points - truth.points.mean(axis=0)
-    denom = np.sqrt((X**2).sum() / truth.n)
+    denom = _overflow_checked(lambda: _rms_spread(truth), truth)
     if denom == 0.0:
         raise DegenerateGeometryError("truth configuration is a single repeated point")
-    return float(np.sqrt((Y**2).sum() / estimate.n) / denom)
+    return _overflow_checked(lambda: _rms_spread(estimate) / denom, estimate, truth)

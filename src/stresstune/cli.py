@@ -115,8 +115,21 @@ def cmd_generate(args, parser) -> int:
     return 0
 
 
+def _check_embedding_names(out: Path, hops: list[int]) -> None:
+    """Refuse, before any stitch, a hop value whose per-h file name is longer than ``out`` allows."""
+    try:
+        limit = os.pathconf(out, "PC_NAME_MAX")
+    except (AttributeError, OSError, ValueError):
+        limit = 255
+    for h in map(str, hops):
+        if len(f"embedding_h{h}.csv.tmp") > limit:
+            raise StressTuneError(f"hop value {h[:4]}...{h[-4:]} ({len(h)} digits) makes a file name "
+                                  f"longer than the {limit} characters {out} allows")
+
+
 def cmd_sweep(args, parser) -> int:
     out = _outdir(args)
+    _check_embedding_names(out, args.hops)
     g = read_edge_csv(args.graph)
     truth = read_configuration_csv(args.truth) if args.truth else None
     embeddings: dict[int, Configuration] = {}

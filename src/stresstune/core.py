@@ -63,6 +63,27 @@ class EigenSolverError(StressTuneError):
     """The symmetric eigensolver failed: no convergence, or any other LAPACK or ARPACK error."""
 
 
+def _overflow_checked(compute, *configs: Configuration) -> float:
+    """``compute()``, a float built from the squared coordinates of ``configs``, unless it overflows float64.
+
+    An overflow raises a floating-point flag or, from kernels that give inf
+    without one (einsum, the KD-tree), shows in the value. Either way it
+    raises ``StressTuneError`` naming the largest coordinate.
+    """
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            value = float(compute())
+    except FloatingPointError:
+        value = np.inf
+    if not np.isfinite(value):
+        largest = max(np.abs(c.points).max() for c in configs)
+        raise StressTuneError(
+            f"the squared distances between points overflow float64 (largest coordinate "
+            f"{largest:g}); rescale the points"
+        )
+    return value
+
+
 def _physical_memory_bytes() -> int | None:
     """Installed physical memory in bytes, or None where ``os.sysconf`` cannot tell."""
     try:

@@ -26,9 +26,9 @@ from .core import (
     Configuration,
     DenseSymmetricMatrix,
     DisconnectedGraphError,
-    StressTuneError,
     _check_dense_fits,
     _csv_rows,
+    _overflow_checked,
     _row_blocks,
     _symmetrize_in_place,
 )
@@ -39,6 +39,11 @@ from .core import (
 # m~120 2.4 vs 1.2, m~250 13.1 vs 10.6, m~350 22.3 vs 23.6; radius-graph
 # patches m~190 4.8 vs 3.9, m~210 9.0 vs 9.6, m~900+ 216 vs 746.
 _FLOYD_WARSHALL_MAX_ORDER = 200
+
+# Budget of the whole graph's shortest-path rows that a stitch may hold to
+# complete its large patches from (12 n^2 bytes): it admits n up to
+# 6,688 (5,222 nodes take 327 MB) and refuses n = 20,000 (4.8 GB).
+_SHARED_ROWS_MAX_BYTES = 512 * 2**20
 
 
 class DissimilarityGraph:
@@ -149,13 +154,6 @@ def _union_knn_pairs(nearest: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarra
     return key // n, key % n
 
 
-def _overflow_error(X: np.ndarray) -> StressTuneError:
-    return StressTuneError(
-        f"the squared distances between points overflow float64 (largest coordinate "
-        f"{np.abs(X).max():g}); rescale the points"
-    )
-
-
 def _check_k(n: int, k: int) -> None:
     """Refuse a neighbour count ``k`` that ``n`` points cannot supply."""
     if k < 1:
@@ -175,8 +173,7 @@ def knn_graph(config: Configuration, k: int) -> DissimilarityGraph:
     _check_k(n, k)
     X = config.points
     dist, idx = cKDTree(X).query(X, k=k + 1)
-    if not np.isfinite(dist).all():  # the tree then reports the missing neighbour n
-        raise _overflow_error(X)
+    _overflow_checked(dist.max, config)  # an infinite distance comes with the missing neighbour n
     ei, ej = _union_knn_pairs(np.atleast_2d(idx).astype(np.int64), k)
     w = np.linalg.norm(X[ei] - X[ej], axis=1)
     return DissimilarityGraph(n, (ei, ej, w))
@@ -215,22 +212,22 @@ def min_connectivity_radius(config: Configuration) -> float:
     n = X.shape[0]
     if n < 2:
         raise ValueError("need at least two points")
-    in_tree = np.zeros(n, dtype=bool)
-    in_tree[0] = True
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            best = np.linalg.norm(X - X[0], axis=1)
-            best[0] = np.inf
-            bottleneck = 0.0
-            for _ in range(n - 1):
-                d = np.where(in_tree, np.inf, best)
-                v = int(np.argmin(d))
-                bottleneck = max(bottleneck, float(d[v]))
-                in_tree[v] = True
-                best = np.minimum(best, np.linalg.norm(X - X[v], axis=1))
-    except FloatingPointError as exc:
-        raise _overflow_error(X) from exc
-    return bottleneck
+
+    def prim():
+        in_tree = np.zeros(n, dtype=bool)
+        in_tree[0] = True
+        best = np.linalg.norm(X - X[0], axis=1)
+        best[0] = np.inf
+        bottleneck = 0.0
+        for _ in range(n - 1):
+            d = np.where(in_tree, np.inf, best)
+            v = int(np.argmin(d))
+            bottleneck = max(bottleneck, float(d[v]))
+            in_tree[v] = True
+            best = np.minimum(best, np.linalg.norm(X - X[v], axis=1))
+        return bottleneck
+
+    return _overflow_checked(prim, config)
 
 
 def hop_balls(g: DissimilarityGraph, h: int) -> csr_matrix:
@@ -350,6 +347,23 @@ def _shortest_path_rows(g: DissimilarityGraph) -> tuple[np.ndarray, np.ndarray]:
     each source itself.
     """
     return _csgraph_dijkstra(g._adj_csr(), directed=True, return_predecessors=True)
+
+
+def _shared_rows(g: DissimilarityGraph, patches) -> tuple[np.ndarray, np.ndarray] | None:
+    """The rows (:func:`_shortest_path_rows`) to complete a stitch's patches from, or None.
+
+    ``patches`` are the member arrays of the patches the stitch embeds. The
+    rows are taken when their ``12 n^2`` bytes fit ``_SHARED_ROWS_MAX_BYTES``
+    and the per-patch Dijkstra work they replace, the sum of m times the
+    members' degree sum over the patches above ``_FLOYD_WARSHALL_MAX_ORDER``,
+    exceeds the work of the one whole-graph pass, n times twice the edge count.
+    """
+    n = g.n
+    if 12 * n * n > _SHARED_ROWS_MAX_BYTES:
+        return None
+    degrees = g.degrees()
+    work = sum(m.size * int(degrees[m].sum()) for m in patches if m.size > _FLOYD_WARSHALL_MAX_ORDER)
+    return _shortest_path_rows(g) if work > n * 2 * g.edge_count else None
 
 
 def _complete_from_rows(sub: csr_matrix, members: np.ndarray, dist: np.ndarray, pred: np.ndarray) -> np.ndarray:

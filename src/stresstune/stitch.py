@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from . import graph as _graph
 from .align import _procrustes
 from .core import (
     Configuration,
@@ -32,16 +31,11 @@ from .graph import (
     DissimilarityGraph,
     _check_embeddable,
     _row_positions,
-    _shortest_path_rows,
+    _shared_rows,
     hop_balls,
     induced_subgraph_csr,
     shortest_paths_csr,
 )
-
-# Budget of the whole graph's shortest-path rows that a stitch may hold to
-# complete its large patches from (12 n^2 bytes): it admits n up to
-# 6,688 (5,222 nodes take 327 MB) and refuses n = 20,000 (4.8 GB).
-_SHARED_ROWS_MAX_BYTES = 512 * 2**20
 
 
 class PatchError(StressTuneError):
@@ -74,16 +68,16 @@ def _embed_members(
     """Local embedding of the patch ``members`` (ascending), one row per member.
 
     The patch's missing dissimilarities are completed with shortest paths
-    inside the induced subgraph (from the whole graph's shortest-path
-    ``rows`` when given, with the same bits), classical scaling embeds the completed
-    matrix, and (optionally) stress majorization against the observed edges
-    refines the result. A hop ball holds a shortest hop path from its center
-    to each member, so its induced subgraph is connected and the completion
-    finite; :func:`mds_map_p` refuses balls of fewer than ``p + 1`` nodes.
+    inside the induced subgraph (from the whole graph's ``rows`` of
+    :func:`~stresstune.graph._shared_rows` when given, with the same bits),
+    classical scaling embeds the completed matrix, and (optionally) stress
+    majorization against the observed edges refines the result. A hop ball
+    holds a shortest hop path from its center to each member, so its induced
+    subgraph is connected and the completion finite; :func:`mds_map_p`
+    refuses balls of fewer than ``p + 1`` nodes.
     """
     sub, (ei, ej, w) = induced_subgraph_csr(g, members)
-    completion = shortest_paths_csr(sub) if rows is None else shortest_paths_csr(sub, rows, members)
-    Y = _classical_scaling_array(completion, p)
+    Y = _classical_scaling_array(shortest_paths_csr(sub, rows, members), p)
     if refine:
         Y, _ = _smacof(members.size, ei, ej, w, Y)
     return Y
@@ -156,26 +150,6 @@ def _merge_plan(balls: csr_matrix, p: int):
             )
 
 
-def _shares_rows(g: DissimilarityGraph, plan: list) -> bool:
-    """Whether a stitch completes its patches from the whole graph's shortest-path rows.
-
-    When the rows fit ``_SHARED_ROWS_MAX_BYTES`` and the per-patch Dijkstra
-    work they replace, the sum of m times the members' degree sum over the
-    embedded patches above the Floyd-Warshall order and below n, exceeds the
-    work of the one whole-graph pass, n times twice the edge count.
-    """
-    n = g.n
-    if 12 * n * n > _SHARED_ROWS_MAX_BYTES:
-        return False
-    degrees = g.degrees()
-    work = sum(
-        members.size * int(degrees[members].sum())
-        for _, members, new, _ in plan
-        if _graph._FLOYD_WARSHALL_MAX_ORDER < members.size < n and new.any()
-    )
-    return work > n * 2 * g.edge_count
-
-
 def mds_map_p(
     g: DissimilarityGraph,
     h: int,
@@ -203,12 +177,9 @@ def mds_map_p(
     and both refinements factor a sparse grounded Laplacian, so memory is
     O(sum of ball sizes + edges) rather than O(n^2), plus two dense m x m
     arrays for the one patch being embedded (its completion and the
-    double-centred work array of classical scaling). A stitch whose patches
-    above the Floyd-Warshall order would do more Dijkstra work than one pass
-    over the whole graph completes them from that pass's rows and
-    predecessors instead, with the same bits, when their 12 n^2 bytes fit
-    ``_SHARED_ROWS_MAX_BYTES`` (512 MiB); memory is then at most that much
-    more. The balls and the rows are released before the final refinement.
+    double-centred work array of classical scaling), plus the whole graph's
+    shortest-path rows when :func:`~stresstune.graph._shared_rows` takes
+    them. The balls and the rows are released before the final refinement.
     """
     _check_embeddable(g, p, (h,))
     n = g.n
@@ -228,7 +199,7 @@ def mds_map_p(
         plan.extend(_merge_plan(balls, p))
     except MergeError as exc:
         plan_error = exc
-    rows = _shortest_path_rows(g) if _shares_rows(g, plan) else None
+    rows = _shared_rows(g, [members for _, members, new, _ in plan if new.any()])
 
     coords = np.full((n, p), np.nan)
     log = []
@@ -238,7 +209,7 @@ def mds_map_p(
             # here the whole ball, is checked.
             _check_overlap(coords, members, v)
         else:
-            local = _embed_members(g, members, p, refine_patches, rows if members.size < n else None)
+            local = _embed_members(g, members, p, refine_patches, rows)
             if log:
                 merge(coords, members, new, local, v)
             else:  # the seed sets the frame of the global map

@@ -26,9 +26,10 @@ from .stitch import mds_map_p
 # spawned worker pays about 0.7 s to import numpy, scipy and this package
 # before its first hop value, so small sweeps stay inline. Measured on a
 # 2-vCPU host (hollow rectangle, 10-NN graph, hops 1,2,3,5,10, BLAS on one
-# thread, median of 3), inline vs 2 workers: 0.24 vs 1.01 s at n=150, 0.74
-# vs 1.28 s at n=306, 1.68 vs 1.72 s at n=468, 2.98 vs 2.45 s at n=622 and
-# 5.85 vs 3.71 s at n=828.
+# thread, median of 3), inline vs 2 workers: with no refinement 0.58 vs
+# 0.86 s at n=468, 1.12 vs 1.14 s at n=622 and 1.70 vs 1.50 s at n=828; with
+# both refinements 3.49 vs 3.30 s at n=306. The bound lies between the two
+# crossovers.
 _POOL_MIN_NODES = 500
 
 # BLAS thread counts pinned to 1 in the workers: with one hop value per core,

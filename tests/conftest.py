@@ -23,6 +23,12 @@ def child_env(**overrides: str) -> dict:
     return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]), **overrides)
 
 
+def pytest_collection_modifyitems(config, items):
+    # The gate takes most of a full run. Run last (the sort is stable), it
+    # leaves the unit suite complete when a time limit cuts the run short.
+    items.sort(key=lambda item: item.get_closest_marker("gate") is not None)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

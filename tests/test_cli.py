@@ -243,6 +243,21 @@ class TestSweep:
         assert re.fullmatch(rf"stresstune: error: every swept hop value failed: \[1, 2, 3\]{causes}\n", err), err
         assert all(re.search(rf"h=[0-9, ]*{h}[0-9, ]*: ", err) for h in (1, 2, 3))
 
+    def test_overlong_hop_value_exits_1_before_any_stitch(self, tmp_path, capsys, monkeypatch):
+        import stresstune.cli as cli_module
+
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(cli_module, "sweep_hops", no_sweep)
+        write_edge_csv(hollow80(), tmp_path / "g.csv")
+        code = run(["sweep", "--graph", tmp_path / "g.csv", "--hops", "1,1" + "0" * 400,
+                    "--no-final-refine", "--out", tmp_path / "sw"])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("stresstune: error: hop value 1000...0000 (401 digits)")
+
     def test_bad_hop_list_exits_2(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run(["sweep", "--graph", tmp_path / "g.csv", "--hops", "1,x",
@@ -471,6 +486,26 @@ class TestEmbedAndAlign:
         aligned = read_configuration_csv(out / "aligned.csv")
         np.testing.assert_allclose(aligned.points, pts, atol=1e-9)
 
+    @pytest.mark.parametrize("scale", [1e150, 1e160, 1e200, 1e300])
+    @pytest.mark.parametrize("scaled", ["--embedding", "--truth"])
+    def test_align_refuses_squares_beyond_float64(self, tmp_path, capsys, scale, scaled):
+        # Squared coordinates overflow from about 1e154 on; metrics.json would
+        # hold Infinity or NaN.
+        X = np.random.default_rng(0).standard_normal((20, 2))
+        write_configuration_csv(Configuration(X), tmp_path / "plain.csv")
+        write_configuration_csv(Configuration(X * scale), tmp_path / "scaled.csv")
+        files = {"--embedding": "plain.csv", "--truth": "plain.csv", scaled: "scaled.csv"}
+        code = run(["align", *(a for flag, name in files.items() for a in (flag, tmp_path / name)),
+                    "--out", tmp_path / "al"])
+        err = capsys.readouterr().err
+        if scale < 1e154:
+            assert code == 0 and err == ""
+        else:
+            assert code == 1
+            assert re.fullmatch(r"stresstune: error: the squared distances between points overflow float64 "
+                                r"\(largest coordinate [0-9.]+e\+[0-9]+\); rescale the points\n", err), err
+            assert not (tmp_path / "al" / "metrics.json").exists()
+
 
 # The post-parse rules the CLI enforced before each flag got a checking
 # argparse type: (subcommand and required arguments, flag, value type, refused).
@@ -611,15 +646,17 @@ class TestCities:
 
 @hst.composite
 def extreme_inputs(draw):
-    """A graph of 2-40 nodes and as many points in R^3, both at one binary scale 2**e.
+    """A graph of 2-40 nodes and as many points in R^3, both at one binary scale 2**e, and n more points.
 
     The graph is a random spanning tree plus up to n chords; one time in ten a
     tree edge is dropped first, which may disconnect it. Its weights are
     ``np.ldexp(u, e)`` with u in [0.5, 1) and e in [-1074, 1023]; one time in
-    five all of them are zero, and one time in five about a third.
+    five all of them are zero, and one time in five about a third. The n
+    more points, an estimate for ``align``, are at the scale 2**e or at one of their own.
     """
     n = draw(hst.integers(2, 40))
     e = draw(hst.integers(-1074, 1023))
+    e_estimate = draw(hst.just(e) | hst.integers(-1074, 1023))
     zeros = draw(hst.integers(0, 4))
     drop = draw(hst.integers(0, 9)) == 0
     r = np.random.default_rng(draw(hst.integers(0, 2**32 - 1)))
@@ -635,13 +672,21 @@ def extreme_inputs(draw):
         w[:] = 0.0
     elif zeros == 1:
         w[r.uniform(size=w.size) < 1 / 3] = 0.0
-    return DissimilarityGraph(n, (ei, ej, w)), Configuration(np.ldexp(r.uniform(-1.0, 1.0, (n, 3)), e))
+    points, estimate = (Configuration(np.ldexp(r.uniform(-1.0, 1.0, (n, 3)), x)) for x in (e, e_estimate))
+    return DissimilarityGraph(n, (ei, ej, w)), points, estimate
 
 
 def repro(scale, command, hops, refine=True):
     """Arguments of the property below for one run on ``hollow80(scale)`` with p=2 and dense eigh."""
-    return {"inputs": (hollow80(scale), None), "command": command, "p": 2, "hops": hops,
+    return {"inputs": (hollow80(scale), None, None), "command": command, "p": 2, "hops": hops,
             "refine": refine, "lanczos": False}
+
+
+def align_repro(estimate_scale, truth_scale):
+    """Arguments of the property below for ``align`` on 20 standard-normal points in R^2, each file scaled."""
+    X = np.random.default_rng(0).standard_normal((20, 2))
+    return {"inputs": (None, Configuration(X * truth_scale), Configuration(X * estimate_scale)),
+            "command": "align", "p": 2, "hops": [1], "refine": True, "lanczos": False}
 
 
 class TestNeverATraceback:
@@ -653,7 +698,7 @@ class TestNeverATraceback:
     @settings(max_examples=500, deadline=None)
     @given(
         inputs=extreme_inputs(),
-        command=hst.sampled_from(["cs", "mdsd", "mdsmapp", "seqtrilat", "isomap-local", "sweep"]),
+        command=hst.sampled_from(["cs", "mdsd", "mdsmapp", "seqtrilat", "isomap-local", "sweep", "align"]),
         p=hst.integers(1, 3),
         hops=hst.lists(hst.integers(1, 3), min_size=1, max_size=3, unique=True),
         refine=hst.booleans(),
@@ -676,25 +721,36 @@ class TestNeverATraceback:
     # A hop value beyond float range.
     @example(**repro(1.0, "sweep", [1, 10**400]))
     @example(**repro(1.0, "mdsmapp", [10**400]))
+    # Squared coordinates beyond float64, on either file of align.
+    @example(**align_repro(1e160, 1.0))
+    @example(**align_repro(1e200, 1.0))
+    @example(**align_repro(1e300, 1.0))
+    @example(**align_repro(1.0, 1e160))
+    @example(**align_repro(1.0, 1e200))
+    @example(**align_repro(1.0, 1e300))
     def test_exits_0_or_1_with_an_error_line(self, inputs, command, p, hops, refine, lanczos):
-        g, points = inputs
+        g, points, estimate = inputs
         # Down to order 4, Lanczos runs on the patches of these small graphs.
         order = 4 if lanczos else core_module._DENSE_EIGH_MAX_ORDER
         with tempfile.TemporaryDirectory() as tmp, \
                 mock.patch.object(core_module, "_DENSE_EIGH_MAX_ORDER", order), \
                 contextlib.redirect_stderr(io.StringIO()) as err:
-            graph, cloud = Path(tmp) / "g.csv", Path(tmp) / "points.csv"
-            write_edge_csv(g, graph)
+            graph, cloud, estimated = Path(tmp) / "g.csv", Path(tmp) / "points.csv", Path(tmp) / "est.csv"
+            if g is not None:
+                write_edge_csv(g, graph)
             if points is not None:
                 write_configuration_csv(points, cloud)
-            flags = [] if refine else ["--no-patch-refine", "--no-final-refine"]
-            if command == "sweep":
+            flags = [*([] if refine else ["--no-patch-refine", "--no-final-refine"]), "--p", p]
+            if command == "align":
+                write_configuration_csv(estimate, estimated)
+                argv, flags = ["align", "--embedding", estimated, "--truth", cloud], []
+            elif command == "sweep":
                 argv = ["sweep", "--graph", graph, "--hops", ",".join(map(str, hops))]
             elif command == "isomap-local":
                 argv = ["embed", "--method", command, "--points", cloud, "--hops", hops[0]]
             else:
                 argv = ["embed", "--method", command, "--graph", graph, "--hops", hops[0]]
-            code = run([*argv, *flags, "--p", p, "--out", Path(tmp) / "o"])
+            code = run([*argv, *flags, "--out", Path(tmp) / "o"])
         assert code in (0, 1)
         if code == 1:
             assert err.getvalue().splitlines()[-1].startswith("stresstune: error:"), err.getvalue()

@@ -140,8 +140,8 @@ class TestDissimilarityGraph:
 
         completed = []
 
-        def recording(sub):
-            D = shortest_paths_csr(sub)
+        def recording(sub, rows, members):
+            D = shortest_paths_csr(sub, rows, members)
             completed.append(D)
             return D
 

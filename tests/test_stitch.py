@@ -260,19 +260,24 @@ class TestMdsMapP:
         assert aligned_error(stitched, direct) <= 1e-9 * diameter(direct)
 
     @pytest.mark.parametrize("shape, n", [("hollow_rectangle", 300), ("rectangle", 500), ("rectangle", 150)])
-    def test_mds_d_is_the_one_patch_stitch(self, shape, n):
+    def test_mds_d_is_the_one_patch_stitch(self, shape, n, monkeypatch):
         # At h = n the seed ball is the whole graph and every later patch adds
         # nothing, so the stitch completes and scales what mds_d does. Above
         # _FLOYD_WARSHALL_MAX_ORDER both complete by Dijkstra, bit for bit; at
         # or below it the patch completes by Floyd-Warshall, which rounds differently.
+        # The one patch's Dijkstra work equals one whole-graph pass, so whatever
+        # the budget, the stitch takes no shared rows.
         truth = generate_shape(DomainShape.named(shape), n, seed=0)
         g = apply_multiplicative_noise(knn_graph(truth, 10), 0.15, seed=1)
         direct = mds_d(g, 2)
+        passes = counted_passes(monkeypatch)
+        monkeypatch.setattr(graph_module, "_SHARED_ROWS_MAX_BYTES", 2**40)
         stitched = mds_map_p(g, g.n, 2, refine_patches=False, final_refine=False)
         if g.n > _FLOYD_WARSHALL_MAX_ORDER:
             assert np.array_equal(stitched.points, direct.points)
         else:
             assert np.abs(stitched.points - direct.points).max() <= 1e-14 * diameter(direct)
+        assert passes == []
 
     def test_hop_beyond_float_range_stitches_as_h_n(self):
         _, g = knn_instance(60, 5, 0.1, seed=2)
@@ -307,13 +312,13 @@ class TestMdsMapP:
 
 def counted_passes(monkeypatch) -> list:
     """The whole-graph shortest-path passes of the stitches that follow, one entry each."""
-    passes, rows = [], stitch_module._shortest_path_rows
+    passes, rows = [], graph_module._shortest_path_rows
 
     def counting(g):
         passes.append(g.n)
         return rows(g)
 
-    monkeypatch.setattr(stitch_module, "_shortest_path_rows", counting)
+    monkeypatch.setattr(graph_module, "_shortest_path_rows", counting)
     return passes
 
 
@@ -326,10 +331,19 @@ class TestSharedRows:
         passes = counted_passes(monkeypatch)
         stitched = {}
         for budget in (0, 2**40):
-            monkeypatch.setattr(stitch_module, "_SHARED_ROWS_MAX_BYTES", budget)
+            monkeypatch.setattr(graph_module, "_SHARED_ROWS_MAX_BYTES", budget)
             stitched[budget] = mds_map_p(g, h, 2, refine_patches=False, final_refine=False)
             assert len(passes) == (budget > 0)
         assert stitched[0].points.tobytes() == stitched[2**40].points.tobytes()
+
+    def test_patches_above_floyd_warshall_order_that_do_not_pay_take_no_rows(self, monkeypatch):
+        # The 1,250-node 8-NN rectangle at h=6: 15 of its 217 embedded patches
+        # are above the Floyd-Warshall order, at 0.40 of a whole-graph pass.
+        _, g = knn_instance(1200, 8, 0.15, seed=0)
+        monkeypatch.setattr(graph_module, "_SHARED_ROWS_MAX_BYTES", 2**40)
+        embedded = [members for _, members, new, _ in _merge_plan(hop_balls(g, 6), 2) if new.any()]
+        assert max(members.size for members in embedded) > _FLOYD_WARSHALL_MAX_ORDER
+        assert graph_module._shared_rows(g, embedded) is None
 
     def test_embedding_error_comes_before_a_planning_error(self, monkeypatch):
         # After the seed {7, 0, 1} of an 8-cycle no 1-hop ball holds 3 placed
