@@ -32,7 +32,14 @@ def procrustes(source: Configuration, target: Configuration) -> RigidMap:
     """
     if source.n != target.n or source.p != target.p:
         raise ValueError("source and target must have matching shapes")
-    Q, t = _procrustes(source.points, target.points)
+    Q = t = None
+
+    def fit():  # the cross-covariance sums products of coordinates, as squared distances do
+        nonlocal Q, t
+        Q, t = _procrustes(source.points, target.points)
+        return np.abs(t).max()
+
+    _overflow_checked(fit, source, target)
     return RigidMap(Q=Q, t=t)
 
 
@@ -84,19 +91,31 @@ def alignment_report(estimate: Configuration, truth: Configuration) -> Alignment
     return AlignmentReport(error=err, normalized_rmse=rmse)
 
 
-def _rms_spread(config: Configuration) -> float:
-    X = config.points - config.points.mean(axis=0)
-    return np.sqrt((X**2).sum() / config.n)
+def _rms_spread(X: np.ndarray) -> tuple[float, int]:
+    """``(s, e)``, where ``s * 2**e`` is the RMS spread of the rows of ``X`` about their centroid.
+
+    ``X`` is first divided by the power of two of its largest magnitude, an
+    exact scaling, so that no square overflows or underflows to zero; at a
+    scale where none would, ``np.ldexp(s, e)`` has the bits of the spread of ``X``.
+    """
+    e = int(np.frexp(np.abs(X).max())[1])
+    Y = np.ldexp(X, -e)
+    Y -= Y.mean(axis=0)
+    return np.sqrt((Y**2).sum() / X.shape[0]), e
 
 
 def scale_ratio(estimate: Configuration, truth: Configuration) -> float:
     """RMS spread of the estimate about its centroid over that of the truth.
 
-    Values below 1 diagnose global shrinkage of the reconstruction.
+    Values below 1 diagnose global shrinkage of the reconstruction. Each
+    spread is taken at its own power-of-two scale (:func:`_rms_spread`), so
+    any ratio within float64's range is returned; one beyond it raises
+    ``StressTuneError``.
     """
     if estimate.n != truth.n:
         raise ValueError("configurations must have the same number of points")
-    denom = _overflow_checked(lambda: _rms_spread(truth), truth)
+    denom, e_truth = _rms_spread(truth.points)
     if denom == 0.0:
         raise DegenerateGeometryError("truth configuration is a single repeated point")
-    return _overflow_checked(lambda: _rms_spread(estimate) / denom, estimate, truth)
+    spread, e = _rms_spread(estimate.points)
+    return _overflow_checked(lambda: np.ldexp(spread / denom, e - e_truth), estimate, truth)

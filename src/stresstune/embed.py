@@ -41,6 +41,13 @@ def _classical_scaling_array(D: np.ndarray, p: int) -> np.ndarray:
             "rescale the graph"
         ) from exc
     vals, vecs = _top_eigenpairs_array(B, p)
+    # trace(B) = sum(D**2) / (2 k) for order k, so the top eigenvalue is at
+    # least sum(D**2) / (2 k**2): not positive only if every square underflowed.
+    if not vals[0] > 0.0 and D.max() > 0.0:
+        raise StressTuneError(
+            f"the squared dissimilarities underflow float64 (largest dissimilarity {D.max():g}); "
+            "rescale the graph"
+        )
     # Canonical signs: each eigenvector's largest-magnitude entry (the first
     # on ties) is positive, whichever solver ran.
     peak = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(p)]

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import csv
 import os
+from contextlib import contextmanager
+from contextvars import ContextVar
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -44,6 +46,10 @@ _FLOYD_WARSHALL_MAX_ORDER = 200
 # complete its large patches from (12 n^2 bytes): it admits n up to
 # 6,688 (5,222 nodes take 327 MB) and refuses n = 20,000 (4.8 GB).
 _SHARED_ROWS_MAX_BYTES = 512 * 2**20
+
+# While a sweep runs in this context: its graph, and the rows of that graph
+# once a stitch has taken them (None before). None outside a sweep.
+_sweep_rows: ContextVar[tuple | None] = ContextVar("_sweep_rows", default=None)
 
 
 class DissimilarityGraph:
@@ -357,13 +363,38 @@ def _shared_rows(g: DissimilarityGraph, patches) -> tuple[np.ndarray, np.ndarray
     and the per-patch Dijkstra work they replace, the sum of m times the
     members' degree sum over the patches above ``_FLOYD_WARSHALL_MAX_ORDER``,
     exceeds the work of the one whole-graph pass, n times twice the edge count.
+
+    Within a sweep of ``g`` (:func:`_sweep_holding_rows`) a tie goes to the
+    rows, so a one-patch stitch takes them too, and the rows, once taken,
+    serve every later stitch of the sweep whatever its own work: exact rows
+    complete any patch with the same bits (:func:`_complete_from_rows`).
     """
     n = g.n
     if 12 * n * n > _SHARED_ROWS_MAX_BYTES:
         return None
+    held = _sweep_rows.get()
+    in_sweep = held is not None and held[0] is g
+    if in_sweep and held[1] is not None:
+        return held[1]
     degrees = g.degrees()
     work = sum(m.size * int(degrees[m].sum()) for m in patches if m.size > _FLOYD_WARSHALL_MAX_ORDER)
-    return _shortest_path_rows(g) if work > n * 2 * g.edge_count else None
+    whole_pass = n * 2 * g.edge_count
+    if work < whole_pass or (work == whole_pass and not in_sweep):
+        return None
+    rows = _shortest_path_rows(g)
+    if in_sweep:
+        _sweep_rows.set((g, rows))
+    return rows
+
+
+@contextmanager
+def _sweep_holding_rows(g: DissimilarityGraph):
+    """Within the block, the stitches of ``g`` share one rows pass (:func:`_shared_rows`); the rows go with it."""
+    token = _sweep_rows.set((g, None))
+    try:
+        yield
+    finally:
+        _sweep_rows.reset(token)
 
 
 def _complete_from_rows(sub: csr_matrix, members: np.ndarray, dist: np.ndarray, pred: np.ndarray) -> np.ndarray:

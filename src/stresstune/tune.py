@@ -19,25 +19,33 @@ import numpy as np
 
 from .align import aligned_error, scale_ratio
 from .core import Configuration, StressTuneError, _check_dense_fits, _Value
-from .graph import DissimilarityGraph, _check_embeddable
+from .graph import DissimilarityGraph, _check_embeddable, _sweep_holding_rows, _sweep_rows
 from .stitch import mds_map_p
 
-# Node count from which a sweep runs its hop values in worker processes. Each
-# spawned worker pays about 0.7 s to import numpy, scipy and this package
-# before its first hop value, so small sweeps stay inline. Measured on a
-# 2-vCPU host (hollow rectangle, 10-NN graph, hops 1,2,3,5,10, BLAS on one
-# thread, median of 3), inline vs 2 workers: with no refinement 0.58 vs
-# 0.86 s at n=468, 1.12 vs 1.14 s at n=622 and 1.70 vs 1.50 s at n=828; with
-# both refinements 3.49 vs 3.30 s at n=306. The bound lies between the two
-# crossovers.
+# Node count from which a sweep runs its hop values in worker processes.
+# Workers fork from the process's fork server, which the first pooled sweep
+# starts: it took about 1 s more than the later ones, which reuse the server.
+# Measured on a 2-vCPU host (hollow rectangle, 10-NN graph, hops 1,2,3,5,10,
+# BLAS on one thread, median of 3, server running), inline vs 2 workers:
+# with no refinement 0.81 vs 0.57 s at n=468, 1.02 vs 0.69 s at n=622 and
+# 1.88 vs 1.18 s at n=828; with both refinements 1.41 vs 0.96 s at n=306,
+# and 1.99 s for the sweep that started the server. A warm pool wins at
+# every n tried; the bound keeps the first sweep of a small graph from
+# paying for the server.
 _POOL_MIN_NODES = 500
 
 # BLAS thread counts pinned to 1 in the workers: with one hop value per core,
 # multithreaded BLAS in each worker would oversubscribe the cores. Results do
 # not depend on it; it is for speed. The README sweep (2-vCPU host, the
 # caller's BLAS on two threads, 5 runs each) took 4.6-5.8 s with the pin and
-# 6.0-7.3 s without it.
+# 6.0-7.3 s without it. The pin is in the environment when the fork server
+# starts, so the server and every worker it forks keep it; a fork server
+# that the calling program started earlier keeps the environment it had.
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+# What the fork server imports once, so that every worker it forks starts
+# with numpy and scipy loaded.
+_PRELOADED = ("numpy", "scipy.sparse", "scipy.sparse.csgraph", "scipy.sparse.linalg", "scipy.spatial")
 
 
 # About 1.2e-77: targets below it make every stress term, a fourth power, vanish.
@@ -226,7 +234,7 @@ def _sweep_one(
 
 
 def _exit_with_parent() -> None:
-    """Pool initializer: end this worker as soon as the process that spawned it is gone.
+    """End this worker as soon as the process that started the pool is gone.
 
     A worker holds the write end of its own task pipe, so a worker whose
     parent was killed would otherwise wait for its next task forever.
@@ -244,29 +252,63 @@ def _exit_with_parent() -> None:
     threading.Thread(target=watch, daemon=True).start()
 
 
+def _start_worker(g: DissimilarityGraph) -> None:
+    """Pool initializer: exit with the parent, and keep the sweep's graph with one holder for its rows.
+
+    The graph reaches the worker once, here, and the rows that the worker's
+    first stitch takes serve its later hop values (:func:`~stresstune.graph._shared_rows`)
+    until the pool ends the worker.
+    """
+    _exit_with_parent()
+    _sweep_rows.set((g, None))
+
+
+def _sweep_one_in_worker(h: int, *args) -> tuple[SweepRow, Configuration | None, str | None]:
+    """:func:`_sweep_one` on the graph this worker was started with."""
+    g, _ = _sweep_rows.get()
+    return _sweep_one(h, g, *args)
+
+
+def _pool_context():
+    """The fork server, which starts each worker from one that has numpy and scipy loaded; else spawn.
+
+    The package itself is not preloaded: the fork server does not take the
+    caller's ``sys.path``, so it could load another copy of it. Each worker
+    imports it after the caller's path is applied.
+    """
+    import multiprocessing
+
+    if "forkserver" not in multiprocessing.get_all_start_methods():
+        return multiprocessing.get_context("spawn")
+    context = multiprocessing.get_context("forkserver")
+    context.set_forkserver_preload(list(_PRELOADED))
+    return context
+
+
 def _sweep_in_processes(hs: list[int], workers: int, args: tuple) -> dict:
-    """``{h: _sweep_one(h, *args)}`` from a pool of spawned worker processes.
+    """``{h: _sweep_one(h, *args)}`` from a pool of worker processes.
 
     Hop values go largest (slowest) first, and the first error in that order
     surfaces as itself; results are keyed by h, so they do not depend on the
-    schedule. Each worker exits when this process dies, even if it is killed.
+    schedule. The graph, ``args[0]``, reaches each worker once, and each
+    worker computes its rows at most once. Each worker exits when this
+    process dies, even if it is killed.
     """
-    import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
+    g, rest = args[0], args[1:]
     saved = {var: os.environ.get(var) for var in _BLAS_THREAD_VARS}
     try:
         with ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=multiprocessing.get_context("spawn"),
-            initializer=_exit_with_parent,
+            max_workers=workers, mp_context=_pool_context(), initializer=_start_worker, initargs=(g,)
         ) as pool:
             try:
-                # Workers copy the environment when they start, and with spawn
-                # they start as map submits the tasks, all before it returns.
+                # The fork server copies the environment when it starts, and its
+                # workers copy its own; both start as map submits the tasks, all
+                # before it returns. A fork server started earlier keeps its own.
                 os.environ.update({var: "1" for var in _BLAS_THREAD_VARS})
-                outcomes = pool.map(_sweep_one, hs[::-1], *(repeat(a) for a in args))
+                outcomes = pool.map(_sweep_one_in_worker, hs[::-1], *(repeat(a) for a in rest))
             finally:
                 for var, value in saved.items():
                     if value is None:
@@ -278,7 +320,7 @@ def _sweep_in_processes(hs: list[int], workers: int, args: tuple) -> dict:
         raise StressTuneError(
             "a sweep worker process died: a signal or the out-of-memory killer may "
             "have ended it, or the calling script lacks an "
-            '`if __name__ == "__main__":` guard (spawned workers import the main '
+            '`if __name__ == "__main__":` guard (workers import the main '
             "module, so a script that sweeps with workers must start the sweep under one)"
         ) from exc
 
@@ -301,12 +343,21 @@ def sweep_hops(
     rows also carry the aligned embedding error and the scale ratio. Pass a
     dict as ``embeddings`` to receive the per-h configurations.
 
-    Graphs of at least 500 nodes sweep in spawned worker processes, one per
-    usable core and hop value, each with BLAS on one thread for speed (no
-    result depends on the BLAS thread count). Workers import
-    the caller's main module, so a script must sweep under an
+    Graphs of at least 500 nodes sweep in worker processes, one per usable
+    core and hop value, each with BLAS on one thread for speed (no result
+    depends on the BLAS thread count). Workers fork from this process's fork
+    server, which the first such sweep starts with numpy and scipy loaded
+    and later ones reuse; the calling program's own later forkserver
+    processes share it, and its one-thread BLAS pin. Workers import the
+    caller's main module, so a script must sweep under an
     ``if __name__ == "__main__":`` guard; without one the sweep raises
     :class:`StressTuneError`.
+
+    A sweep computes the whole graph's shortest-path rows at most once per
+    worker (once, inline), when a stitch takes them, and completes every
+    later hop value's large patches from them with the same bits
+    (:func:`~stresstune.graph._shared_rows`). Each worker holds them until
+    the sweep ends; they are never kept on ``g``.
     """
     hs = sorted({int(h) for h in hs})
     if not hs:
@@ -320,7 +371,8 @@ def sweep_hops(
     if workers > 1:
         outcomes = _sweep_in_processes(hs, workers, args)
     else:
-        outcomes = {h: _sweep_one(h, *args) for h in hs[::-1]}
+        with _sweep_holding_rows(g):
+            outcomes = {h: _sweep_one(h, *args) for h in hs[::-1]}
 
     rows = []
     causes: dict[str | None, list[int]] = {}  # None for the hop values that stitched

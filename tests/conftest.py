@@ -71,6 +71,32 @@ def small_graphs(draw):
     return DissimilarityGraph(n, (ei, ej, np.array(w, dtype=np.float64)))
 
 
+@hst.composite
+def weighted_graphs(draw, max_n: int = 90):
+    """Connected graphs of 12 to ``max_n`` nodes: a k-NN graph of random points joined by a path in x order.
+
+    Weights are the Euclidean lengths, integers 1-3 (many tied paths) or
+    the lengths with a fifth of them 0, all scaled by 2**e for e in [-30, 30].
+    """
+    r = np.random.default_rng(draw(hst.integers(0, 2**32 - 1)))
+    n = draw(hst.integers(12, max_n))
+    points = r.uniform(size=(n, 2))
+    knn = stresstune.knn_graph(Configuration(points), draw(hst.integers(2, 6)))
+    order = np.argsort(points[:, 0])
+    i = np.concatenate([knn.ei, np.minimum(order[:-1], order[1:])])
+    j = np.concatenate([knn.ej, np.maximum(order[:-1], order[1:])])
+    key = np.unique(i * n + j)
+    i, j = key // n, key % n
+    kind = draw(hst.sampled_from(["length", "tied", "zeros"]))
+    if kind == "tied":
+        w = r.integers(1, 4, size=key.size).astype(np.float64)
+    else:
+        w = np.linalg.norm(points[i] - points[j], axis=1)
+        if kind == "zeros":
+            w[r.uniform(size=key.size) < 0.2] = 0.0
+    return DissimilarityGraph(n, (i, j, np.ldexp(w, draw(hst.integers(-30, 30)))))
+
+
 def patch_graph(seed: int, m: int, integer: bool, split: bool) -> DissimilarityGraph:
     """Random sparse graph on ``m`` nodes, about a sixth of its weights zero.
 

@@ -6,8 +6,11 @@ internals beyond plain data, so a bug in the package cannot hide in its own
 oracle. The exceptions replay an inner loop through the validated public
 API that the loop bypasses (``procrustes`` with ``RigidMap.apply``, one
 ``trilaterate`` per node, ``classical_scaling`` of each seed clique), so the
-array kernels can be compared bit for bit. The stress functions and the CSV
-readers at the end are the package's earlier versions, kept unchanged.
+array kernels can be compared bit for bit. :func:`mds_map_p_loop` composes
+these oracles into a whole stitch, and embeds each patch with the package's
+``_classical_scaling_array``, which has oracles of its own. The stress
+functions and the CSV readers at the end are the package's earlier
+versions, kept unchanged.
 """
 
 from __future__ import annotations
@@ -19,14 +22,16 @@ import os
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.sparse import triu
-from scipy.sparse.csgraph import shortest_path
+from scipy.sparse import csr_matrix, triu
+from scipy.sparse.csgraph import floyd_warshall, shortest_path
 
 from stresstune import (
     CityTable,
     Configuration,
     DenseSymmetricMatrix,
     DissimilarityGraph,
+    MergeError,
+    PatchError,
     StressTuneError,
     affine_rank,
     classical_scaling,
@@ -177,6 +182,29 @@ def bfs_hop_matrix(n: int, edges) -> np.ndarray:
     return np.array([bfs_hops(n, edges, s) for s in range(n)], dtype=np.float64)
 
 
+def merge_plan_steps(n: int, edges, h: int, p: int):
+    """The steps of :func:`merge_plan_loop`: ``(center, overlap, ball)`` in merge order.
+
+    The balls are sets of BFS hop counts (:func:`bfs_hop_matrix`). The steps
+    stop early, with nodes left unplaced, where the plan fails.
+    """
+    hops = bfs_hop_matrix(n, edges)
+    balls = [set(np.flatnonzero(hops[v] <= h).tolist()) for v in range(n)]
+    seed = min(range(n), key=lambda v: (-len(balls[v]), v))
+    yield seed, 0, balls[seed]
+    placed = set(balls[seed])
+    merged = {seed}
+    while len(placed) < n:
+        rest = [v for v in range(n) if v not in merged]
+        best = min(rest, key=lambda v: (-len(balls[v] & placed), v))
+        overlap = len(balls[best] & placed)
+        if overlap < p + 1:
+            return
+        yield best, overlap, balls[best]
+        placed |= balls[best]
+        merged.add(best)
+
+
 def merge_plan_loop(n: int, edges, h: int, p: int):
     """Greedy MDS-MAP(P) merge order over Python sets of BFS balls.
 
@@ -187,24 +215,74 @@ def merge_plan_loop(n: int, edges, h: int, p: int):
     ``(center, overlap)`` pairs, or None when the best overlap left is
     below ``p + 1`` before every node is placed.
     """
-    balls = []
-    for v in range(n):
-        hops = bfs_hops(n, edges, v)
-        balls.append({u for u in range(n) if hops[u] <= h})
-    seed = min(range(n), key=lambda v: (-len(balls[v]), v))
-    log = [(seed, 0)]
-    placed = set(balls[seed])
-    merged = {seed}
-    while len(placed) < n:
-        rest = [v for v in range(n) if v not in merged]
-        best = min(rest, key=lambda v: (-len(balls[v] & placed), v))
-        overlap = len(balls[best] & placed)
-        if overlap < p + 1:
-            return None
-        log.append((best, overlap))
-        placed |= balls[best]
-        merged.add(best)
-    return log
+    steps = list(merge_plan_steps(n, edges, h, p))
+    placed = set().union(*(ball for _, _, ball in steps))
+    return [(v, overlap) for v, overlap, _ in steps] if len(placed) == n else None
+
+
+def mds_map_p_loop(g: DissimilarityGraph, h: int, p: int) -> np.ndarray:
+    """The coordinates of ``mds_map_p(g, h, p, refine_patches=False, final_refine=False)``, as a plain loop.
+
+    Ball sizes from :func:`bfs_hop_matrix` and the plan from
+    :func:`merge_plan_steps`. Each patch that adds nodes is completed from
+    scipy's adjacency indexing, by Floyd-Warshall up to the package's
+    ``_FLOYD_WARSHALL_MAX_ORDER`` and by :func:`completion_dijkstra` above
+    it, embedded by ``_classical_scaling_array`` and placed by
+    :func:`merge_public` once its placed overlap spans ``p`` dimensions; a
+    patch that adds none only has that overlap checked. No rows, no plan
+    ahead, no pool: each error is raised, with the package's message, where
+    the plan reaches it.
+    """
+    # Read at call time, so that a test's patched order reaches the oracle too.
+    from stresstune import graph
+    from stresstune.embed import _classical_scaling_array
+
+    n = g.n
+    edges = list(zip(g.ei.tolist(), g.ej.tolist(), g.weights.tolist()))
+    small = np.flatnonzero((bfs_hop_matrix(n, edges) <= h).sum(axis=1) < p + 1)
+    if small.size:
+        listed = ", ".join(str(v) for v in small[:8])
+        raise PatchError(
+            f"{small.size} patch(es) have fewer than p+1={p + 1} nodes "
+            f"(centers {listed}{', ...' if small.size > 8 else ''})"
+        )
+    adj = csr_matrix(
+        (np.concatenate([g.weights, g.weights]), (np.concatenate([g.ei, g.ej]), np.concatenate([g.ej, g.ei]))),
+        shape=(n, n),
+    )
+    coords = np.full((n, p), np.nan)
+    placed: set[int] = set()
+
+    def check_overlap(overlap, center):
+        if affine_rank(coords[overlap]) < p:
+            raise MergeError(
+                f"placed overlap of patch at node {center} ({overlap.size} nodes) is affinely "
+                f"degenerate (try a larger neighborhood h)"
+            )
+
+    for v, _, ball in merge_plan_steps(n, edges, h, p):
+        members = np.array(sorted(ball))
+        new = np.array([u not in placed for u in members.tolist()])
+        if not new.any():
+            check_overlap(members, v)
+        else:
+            sub = adj[members][:, members]
+            if members.size <= graph._FLOYD_WARSHALL_MAX_ORDER:
+                D = floyd_warshall(sub, directed=False)
+            else:
+                D = completion_dijkstra(sub)
+            local = _classical_scaling_array(D, p)
+            if placed:
+                check_overlap(members[~new], v)
+                merge_public(coords, members, new, local)
+            else:
+                coords[members] = local
+        placed |= ball
+    if len(placed) < n:
+        missing = sorted(set(range(n)) - placed)
+        listed = ", ".join(str(u) for u in missing[:8])
+        raise MergeError(f"{len(missing)} node(s) never reachable by a mergeable patch (e.g. {listed}); increase h")
+    return coords
 
 
 def merge_public(coords: np.ndarray, members: np.ndarray, new: np.ndarray, local: np.ndarray):

@@ -12,6 +12,7 @@ from stresstune import (
     Configuration,
     DegenerateGeometryError,
     RigidMap,
+    StressTuneError,
     aligned_error,
     alignment_report,
     diameter,
@@ -54,6 +55,13 @@ class TestProcrustes:
         b = Configuration(rng.standard_normal((6, 2)))
         with pytest.raises(ValueError):
             procrustes(a, b)
+
+    def test_overflowing_cross_covariance_is_refused(self):
+        # The cross-covariance of two copies at 1e160 is about 1e321. A
+        # RuntimeWarning fails the test, so the refusal is all it may raise.
+        X = np.random.default_rng(0).standard_normal((20, 2))
+        with pytest.raises(StressTuneError, match=r"overflow float64 \(largest coordinate [0-9.]+e\+160\)"):
+            procrustes(Configuration(X * 1e160), Configuration(X * 1e160))
 
 
 class TestAlignedError:
@@ -107,6 +115,30 @@ class TestScaleRatio:
         other = Configuration(np.ones((4, 2)))
         with pytest.raises(DegenerateGeometryError):
             scale_ratio(other, flat)
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=hst.integers(0, 2**32 - 1), n=hst.integers(2, 30), p=hst.integers(1, 3),
+           exponents=hst.tuples(hst.integers(-90, 90), hst.integers(-90, 90)))
+    def test_old_bits_where_no_square_leaves_the_normal_range(self, seed, n, p, exponents):
+        def spread(X):
+            X = X - X.mean(axis=0)
+            return np.sqrt((X**2).sum() / n)
+
+        r = np.random.default_rng(seed)
+        estimate, truth = (r.standard_normal((n, p)) * 10.0**e for e in exponents)
+        assert scale_ratio(Configuration(estimate), Configuration(truth)) == spread(estimate) / spread(truth)
+
+    @pytest.mark.parametrize("factor", [1e-200, 1e200, 1e-300])
+    def test_ratio_within_float_range_at_any_scale(self, factor):
+        # The squares of an estimate at 1e-200 underflow to zero and those at
+        # 1e200 overflow; each spread is taken at its own power of two instead.
+        X = np.random.default_rng(0).standard_normal((20, 2))
+        assert scale_ratio(Configuration(X * factor), Configuration(X)) == pytest.approx(factor, rel=1e-12)
+
+    def test_ratio_beyond_float_range_is_refused(self):
+        X = np.random.default_rng(0).standard_normal((20, 2))
+        with pytest.raises(StressTuneError, match="overflow float64"):
+            scale_ratio(Configuration(X * 1e300), Configuration(X * 1e-300))
 
 
 class TestDiameterAndReport:

@@ -438,6 +438,18 @@ class TestEmbedAndAlign:
         err = capsys.readouterr().err
         assert re.fullmatch(rf"stresstune: error: {SQUARES_OVERFLOW}\n", err), err
 
+    def test_subnormal_dissimilarities_exit_1_naming_the_underflow(self, tmp_path, capsys):
+        # Every square rounds to zero, so classical scaling would put every point at the origin.
+        assert run(["generate", "--shape", "hollow", "--n", 80, "--k", 8, "--seed", 0, "--out", tmp_path]) == 0
+        g = read_edge_csv(tmp_path / "graph.csv")
+        write_edge_csv(DissimilarityGraph(g.n, (g.ei, g.ej, g.weights * 1e-320)), tmp_path / "tiny.csv")
+        assert run(["embed", "--method", "mdsd", "--graph", tmp_path / "tiny.csv", "--out", tmp_path / "o"]) == 1
+        want = (r"the squared dissimilarities underflow float64 "
+                r"\(largest dissimilarity [0-9.]+e-3[0-9]{2}\); rescale the graph")
+        err = capsys.readouterr().err
+        assert re.fullmatch(rf"stresstune: error: {want}\n", err), err
+        assert not (tmp_path / "o" / "embedding.csv").exists()
+
     def test_isomap_local_requires_points(self, tmp_path, rng):
         self.make_instance(tmp_path, rng)
         with pytest.raises(SystemExit) as exc:

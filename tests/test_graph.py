@@ -55,6 +55,7 @@ from conftest import (
     patch_graph,
     rows_fit_header,
     small_graphs,
+    weighted_graphs,
 )
 
 
@@ -596,32 +597,6 @@ class TestShortestPathsDispatch:
         with mock.patch.object(graph_module, "_dijkstra_csr", side_effect=AssertionError):
             D = shortest_paths_csr(sub)
         np.testing.assert_array_equal(D, oracles.completion_dijkstra(sub))
-
-
-@hst.composite
-def weighted_graphs(draw):
-    """Connected graphs of 12-90 nodes: a k-NN graph of random points joined by a path in x order.
-
-    Weights are the Euclidean lengths, integers 1-3 (many tied paths) or
-    the lengths with a fifth of them 0, all scaled by 2**e for e in [-30, 30].
-    """
-    r = np.random.default_rng(draw(hst.integers(0, 2**32 - 1)))
-    n = draw(hst.integers(12, 90))
-    points = r.uniform(size=(n, 2))
-    knn = knn_graph(Configuration(points), draw(hst.integers(2, 6)))
-    order = np.argsort(points[:, 0])
-    i = np.concatenate([knn.ei, np.minimum(order[:-1], order[1:])])
-    j = np.concatenate([knn.ej, np.maximum(order[:-1], order[1:])])
-    key = np.unique(i * n + j)
-    i, j = key // n, key % n
-    kind = draw(hst.sampled_from(["length", "tied", "zeros"]))
-    if kind == "tied":
-        w = r.integers(1, 4, size=key.size).astype(np.float64)
-    else:
-        w = np.linalg.norm(points[i] - points[j], axis=1)
-        if kind == "zeros":
-            w[r.uniform(size=key.size) < 0.2] = 0.0
-    return DissimilarityGraph(n, (i, j, np.ldexp(w, draw(hst.integers(-30, 30)))))
 
 
 class TestCompleteFromRows:

@@ -1,12 +1,17 @@
+import contextlib
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as hst
 
 import oracles
+import stresstune.core as core_module
 import stresstune.graph as graph_module
 import stresstune.stitch as stitch_module
-from conftest import patch_graph, rotation, small_graphs
+import stresstune.tune as tune_module
+from conftest import patch_graph, rotation, small_graphs, weighted_graphs
 from stresstune import (
     Configuration,
     DisconnectedGraphError,
@@ -16,6 +21,7 @@ from stresstune import (
     MergeError,
     PatchError,
     RigidMap,
+    StressTuneError,
     aligned_error,
     apply_multiplicative_noise,
     diameter,
@@ -26,6 +32,7 @@ from stresstune import (
     mds_map_p,
     procrustes,
     stress,
+    sweep_hops,
 )
 from stresstune.data import DomainShape
 from stresstune.graph import _FLOYD_WARSHALL_MAX_ORDER, induced_subgraph_csr, shortest_paths_csr
@@ -355,6 +362,116 @@ class TestSharedRows:
         g = DissimilarityGraph(8, [(i, (i + 1) % 8, 1.0) for i in range(8)])
         with pytest.raises(EigenSolverError, match="seed patch"):
             mds_map_p(g, 1, 2)
+
+
+class TestSweepRows:
+    """A sweep's stitches share one pass of the whole graph's rows; the rows go with the sweep."""
+
+    def test_inline_sweep_takes_one_pass_and_a_lone_stitch_keeps_none(self, monkeypatch):
+        # Alone, h=5 and h=10 each take the rows and the one patch of h=15 runs
+        # the same whole-graph Dijkstra: three passes.
+        _, g = knn_instance(1200, 15, 0.15, seed=0, shape="hollow_rectangle")
+        fields = set(vars(g))
+        passes = counted_passes(monkeypatch)
+        whole, dijkstra = [], graph_module._dijkstra_csr
+
+        def counted(adj):
+            if adj.shape[0] == g.n:
+                whole.append(g.n)
+            return dijkstra(adj)
+
+        monkeypatch.setattr(graph_module, "_dijkstra_csr", counted)
+        monkeypatch.setattr(tune_module, "_usable_cores", lambda: 1)
+        embeddings = {}
+        sweep_hops(g, 2, [5, 10, 15], refine_patches=False, final_refine=False, embeddings=embeddings)
+        assert passes == [g.n] and whole == []
+        assert graph_module._sweep_rows.get() is None and set(vars(g)) == fields
+        lone = mds_map_p(g, 15, 2, refine_patches=False, final_refine=False)
+        assert passes == [g.n] and whole == [g.n]
+        assert graph_module._sweep_rows.get() is None and set(vars(g)) == fields
+        assert lone.points.tobytes() == embeddings[15].points.tobytes()
+
+    def test_rows_held_for_another_graph_are_not_used(self, monkeypatch):
+        monkeypatch.setattr(graph_module, "_SHARED_ROWS_MAX_BYTES", 2**40)
+        monkeypatch.setattr(graph_module, "_FLOYD_WARSHALL_MAX_ORDER", 0)
+        held, other = noisy_knn(60, 6, 1), noisy_knn(60, 6, 2)
+        lone = mds_map_p(other, 3, 2, refine_patches=False, final_refine=False)
+        with graph_module._sweep_holding_rows(held):
+            mds_map_p(held, held.n, 2, refine_patches=False, final_refine=False)
+            assert graph_module._sweep_rows.get()[1] is not None
+            got = mds_map_p(other, 3, 2, refine_patches=False, final_refine=False)
+        assert got.points.tobytes() == lone.points.tobytes()
+
+
+def noisy_knn(n: int, k: int, seed: int) -> DissimilarityGraph:
+    """A k-NN graph whose weights are the lengths times uniform noise in [0.5, 1.5]: paths often leave a ball."""
+    points = Configuration(np.random.default_rng(seed).uniform(size=(n, 2)))
+    knn = knn_graph(points, k)
+    w = knn.weights * np.random.default_rng(seed + 1).uniform(0.5, 1.5, size=knn.edge_count)
+    return DissimilarityGraph(knn.n, (knn.ei, knn.ej, w))
+
+
+def cycle(n: int, weight: float) -> DissimilarityGraph:
+    return DissimilarityGraph(n, [(i, (i + 1) % n, weight) for i in range(n)])
+
+
+def stitched_or_error(stitch):
+    """The bytes of ``stitch()``'s coordinates, or the type and message of its domain error."""
+    try:
+        return np.ascontiguousarray(stitch()).tobytes()
+    except StressTuneError as exc:
+        return type(exc), str(exc)
+
+
+class TestStitchOracle:
+    """A stitch without refinement against ``oracles.mds_map_p_loop``, bit for bit, on every completion path.
+
+    The Floyd-Warshall order, the dense eigensolver order and the rows budget
+    are patched so that small graphs reach Floyd-Warshall, per-patch
+    Dijkstra, completion from the stitch's own rows and from rows a sweep
+    already holds from another hop value, and both eigensolvers. Lanczos
+    runs from order 21 on, where its 20 basis vectors span less than the
+    whole space, as above the real order 80: on a whole space ARPACK may
+    restart a rank-deficient matrix (zero weights) from its own random
+    vector, whose state depends on earlier calls in the process.
+    """
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        g=weighted_graphs(max_n=150),
+        h=hst.integers(1, 6),
+        p=hst.integers(1, 3),
+        floyd_warshall_order=hst.sampled_from([0, 16, 200]),
+        dense_eigh_order=hst.sampled_from([20, 80]),
+        rows=hst.sampled_from(["held", "own", "none"]),
+    )
+    # Paths that leave their ball, completed from the stitch's own rows and from held ones.
+    @example(g=noisy_knn(150, 6, 1), h=3, p=2, floyd_warshall_order=0, dense_eigh_order=80, rows="own")
+    @example(g=noisy_knn(150, 6, 1), h=3, p=2, floyd_warshall_order=0, dense_eigh_order=20, rows="held")
+    # After the seed {7, 0, 1} of an 8-cycle no 1-hop ball holds 3 placed nodes:
+    # the plan fails after the seed embeds, or after the seed's embedding has
+    # failed (subnormal weights, whose squares underflow).
+    @example(g=cycle(8, 1.0), h=1, p=2, floyd_warshall_order=200, dense_eigh_order=80, rows="none")
+    @example(g=cycle(8, 1e-320), h=1, p=2, floyd_warshall_order=0, dense_eigh_order=80, rows="own")
+    def test_matches_the_plain_loop(self, g, h, p, floyd_warshall_order, dense_eigh_order, rows):
+        held = graph_module._sweep_holding_rows(g) if rows == "held" else contextlib.nullcontext()
+        with mock.patch.object(graph_module, "_FLOYD_WARSHALL_MAX_ORDER", floyd_warshall_order), \
+                mock.patch.object(core_module, "_DENSE_EIGH_MAX_ORDER", dense_eigh_order), \
+                mock.patch.object(graph_module, "_SHARED_ROWS_MAX_BYTES", 0 if rows == "none" else 2**40), \
+                mock.patch.object(graph_module, "_complete_from_rows", wraps=graph_module._complete_from_rows) as completed, \
+                held:
+            if rows == "held":
+                # Another hop value, one patch of every node: within a sweep it
+                # takes the rows whenever that patch is above the order.
+                with contextlib.suppress(StressTuneError):
+                    mds_map_p(g, g.n, p, refine_patches=False, final_refine=False)
+                event(f"rows held: {graph_module._sweep_rows.get()[1] is not None}")
+            completed.reset_mock()
+            got = stitched_or_error(lambda: mds_map_p(g, h, p, refine_patches=False, final_refine=False).points)
+            want = stitched_or_error(lambda: oracles.mds_map_p_loop(g, h, p))
+        assert got == want
+        event("stitched" if isinstance(want, bytes) else want[0].__name__)
+        event(f"patches completed from {rows} rows: {completed.call_count > 0}")
 
 
 class TestTraceContract:

@@ -579,8 +579,10 @@ class TestSweepHops:
 
     @pytest.mark.skipif(not Path(f"/proc/{os.getpid()}/task").is_dir(), reason="needs Linux /proc")
     def test_workers_exit_when_the_sweep_is_killed(self, tmp_path):
-        # The parent dies without shutting the pool down; each worker must
-        # notice on its own and exit instead of waiting for its next task.
+        # The parent dies without shutting the pool down. Its workers are
+        # children of its fork server, not its own: each worker must notice on
+        # its own and exit instead of waiting for its next task, and the fork
+        # server must exit once no process can ask it for another worker.
         script = tmp_path / "long_sweep.py"
         script.write_text(
             "import numpy as np\n"
@@ -590,43 +592,52 @@ class TestSweepHops:
             "    tune._sweep_in_processes([2, 3, 4, 5, 6], 2, (g, 2, None, True, True))\n"
         )
 
-        def spawned_workers(pid):
+        def children(pid):
             found = []
-            for child in Path(f"/proc/{pid}/task/{pid}/children").read_text().split():
+            for task in Path(f"/proc/{pid}/task").glob("*"):
                 try:
-                    cmdline = Path(f"/proc/{child}/cmdline").read_bytes()
+                    found += [int(child) for child in (task / "children").read_text().split()]
                 except FileNotFoundError:
                     continue
-                if b"spawn_main" in cmdline:
-                    found.append(int(child))
             return found
 
+        def fork_server(pid):
+            for child in children(pid):
+                try:
+                    if b"forkserver" in Path(f"/proc/{child}/cmdline").read_bytes():
+                        return child
+                except FileNotFoundError:
+                    continue
+            return None
+
         def running(pid):
-            try:  # a reparented worker that exited may linger as a zombie
+            try:  # a reparented process that exited may linger as a zombie
                 return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0] != "Z"
             except FileNotFoundError:
                 return False
 
         proc = subprocess.Popen([sys.executable, str(script)], env=child_env(OPENBLAS_NUM_THREADS="1"), cwd=tmp_path)
-        workers = []
+        server, workers = None, []
         try:
             deadline = time.monotonic() + 120
             while len(workers) < 2:
                 assert proc.poll() is None, "the sweep ended before both workers started"
                 assert time.monotonic() < deadline, "the workers never started"
                 time.sleep(0.05)
-                workers = spawned_workers(proc.pid)
+                server = fork_server(proc.pid)
+                workers = children(server) if server else []
             proc.send_signal(signal.SIGTERM)
             assert proc.wait(timeout=30) == -signal.SIGTERM
             deadline = time.monotonic() + 30
-            while any(running(pid) for pid in workers) and time.monotonic() < deadline:
+            while any(running(pid) for pid in [server, *workers]) and time.monotonic() < deadline:
                 time.sleep(0.1)
             assert not [pid for pid in workers if running(pid)]
+            assert not running(server)
         finally:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait()
-            for pid in workers:
+            for pid in [*workers, *([server] if server else [])]:
                 if running(pid):
                     os.kill(pid, signal.SIGKILL)
 
